@@ -6,7 +6,7 @@ a dense complex-matrix backend, tied together by the feedback equation
 and the log-determinant measurements.
 """
 
-from .config import DEFAULT_SEED, DET_TOL, STRUCT_TOL, struct_tol  # noqa: F401
+from .config import DEFAULT_SEED, STRUCT_TOL, struct_tol  # noqa: F401
 from .linalg import (  # noqa: F401
     DenseOperator,
     SpectralReport,

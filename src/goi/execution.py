@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import NORM_SLACK
 from .errors import (
     CarrierError,
     FeedbackSingularError,
@@ -42,8 +43,6 @@ from .measurement import (
     meas_hyp,
     meas_mat,
 )
-
-_NORM_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def feedback_dense(u: DenseOperator, v: DenseOperator, split: InterfaceSplit) ->
     """
     if split.cut - set(u.carrier):
         raise CarrierError("cut labels must belong to u's carrier")
-    if operator_norm(u) > 1.0 + _NORM_SLACK or operator_norm(v) > 1.0 + _NORM_SLACK:
+    if operator_norm(u) > 1.0 + NORM_SLACK or operator_norm(v) > 1.0 + NORM_SLACK:
         raise CarrierError("feedback operands must be contractions")
     carrier = union_carrier(u.carrier, v.carrier)
     ue = u.embed(carrier).mat

@@ -416,16 +416,6 @@ def sum_disjoint(u: PartialInjectionOp, v: PartialInjectionOp) -> PartialInjecti
     return out
 
 
-def scale_sign(u: PartialInjectionOp, phase: complex) -> PartialInjectionOp:
-    """Multiply every weight by a unimodular phase."""
-    phase = _check_unimodular(phase)
-    table = {s: (d, w * phase) for s, (d, w) in u.table.items()}
-    cyls = tuple(_Cyl(c.out_word, c.out_slot, c.in_word, c.in_slot, c.weight * phase) for c in u.cyls)
-    if u.rules:
-        raise ValueError("cannot scale rule-backed operators")
-    return PartialInjectionOp(table, cyls, validate=False)
-
-
 def conjugate_by(w: PartialInjectionOp, u: PartialInjectionOp) -> PartialInjectionOp:
     """w u w*."""
     return compose(compose(w, u), adjoint(w))

@@ -677,6 +677,8 @@ def _num(z):
 
 
 def run_suite(name: str, seed: int, trials: int) -> list[CheckRecord]:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if name == "identities":
         return [
             check_regression_values(),

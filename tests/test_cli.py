@@ -92,6 +92,11 @@ class TestVerify:
             rec["data"].pop("elapsed_s", None)
         assert ja == jb
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_config_error(self, capsys, trials):
+        assert main(["verify", "--suite", "soundness", "--trials", trials]) == EXIT_CONFIG
+        assert "trials must be at least 1" in capsys.readouterr().err
+
     def test_unknown_suite(self):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "bogus"])

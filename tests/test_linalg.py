@@ -109,6 +109,21 @@ class TestNorm:
         d = DenseOperator.diagonal((0, 1), [0.5, 0.25])
         assert abs(operator_norm(d) - 0.5) < 1e-10
 
+    @pytest.mark.parametrize(
+        "singular_values",
+        [(2.5, 1.0, 0.3, 0.0), (1.0, 1.0, 1.0, 1.0), (0.9, 0.9 - 1e-7, 0.2, 0.1), (1e-12, 0.0, 0.0, 0.0)],
+    )
+    def test_known_singular_values(self, rng, singular_values):
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        a = DenseOperator(tuple(range(4)), u @ np.diag(singular_values) @ v.conj().T)
+        assert operator_norm(a) == pytest.approx(max(singular_values), rel=1e-12, abs=1e-15)
+
+    def test_near_degenerate_hermitian_pair(self, rng):
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        h = q @ np.diag([0.9, -0.9 + 1e-7, 0.5, 0.1, -0.3, 0.0]) @ q.conj().T
+        assert operator_norm(DenseOperator(tuple(range(6)), h)) == pytest.approx(0.9, rel=1e-12)
+
 
 class TestSpectralRadius:
     def test_nilpotent_exact_zero(self):
@@ -161,6 +176,11 @@ class TestDeterminants:
 
     def test_fk_singular_is_zero(self):
         assert fk_det(DenseOperator.diagonal((0, 1), [1.0, 0.0])) == 0.0
+
+    def test_fk_no_underflow_on_large_carrier(self):
+        # det(0.1 I_700) = 1e-700 is below the float range; the normalised value is 0.1
+        a = DenseOperator(tuple(range(700)), 0.1 * np.eye(700))
+        assert fk_det(a) == pytest.approx(0.1, rel=1e-12)
 
     def test_fk_multiplicative(self, rng):
         for _ in range(20):

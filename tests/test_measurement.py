@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from goi.errors import CarrierError
 from goi.groupoid import PartialInjectionOp
 from goi.linalg import DenseOperator
 from goi.measurement import (
@@ -110,6 +111,60 @@ class TestDaggers:
         assert np.allclose(prod.mat, direct.mat)
 
 
+class TestDialectalChecks:
+    """The three rejections of a dense payload, and what they must let through."""
+
+    @staticmethod
+    def two_block(carrier, block0, block1):
+        # Dialect((1, 2)) on the given carrier: coordinate 0 is block 0, coordinates 1-2 block 1
+        coord = np.arange(3 * len(carrier)) % 3
+        one, two = np.flatnonzero(coord == 0), np.flatnonzero(coord != 0)
+        mat = np.zeros((coord.size, coord.size), dtype=complex)
+        mat[np.ix_(one, one)] = block0
+        mat[np.ix_(two, two)] = block1
+        return mat
+
+    @staticmethod
+    def make(carrier, mat):
+        return DialectalOperator(carrier, Dialect((1, 2)), PseudoTrace((1.0, 1.0)), DenseOperator(dial_labels(carrier, 3), mat))
+
+    def test_rejects_non_hermitian(self):
+        mat = self.two_block((0,), [[0.0]], [[0.0, 0.5], [0.0, 0.0]])
+        with pytest.raises(CarrierError, match="hermitian"):
+            self.make((0,), mat)
+
+    def test_rejects_excess_norm_in_one_block_only(self, rng):
+        mat = self.two_block((0, 1), hermitian_contraction(rng, 2, 0.5), hermitian_contraction(rng, 4, 1.01))
+        with pytest.raises(CarrierError, match="contraction"):
+            self.make((0, 1), mat)
+
+    def test_accepts_contraction_in_every_block(self, rng):
+        mat = self.two_block((0, 1), hermitian_contraction(rng, 2, 0.5), hermitian_contraction(rng, 4, 0.99))
+        assert self.make((0, 1), mat).dialect.blocks == (1, 2)
+
+    def test_rejects_block_mixing(self):
+        mat = self.two_block((0,), [[0.0]], np.zeros((2, 2)))
+        mat[0, 1] = mat[1, 0] = 0.5
+        with pytest.raises(CarrierError, match="mixes dialect blocks"):
+            self.make((0,), mat)
+
+    def test_mixing_reported_before_norm(self):
+        mat = self.two_block((0,), [[0.0]], np.zeros((2, 2)))
+        mat[0, 1] = mat[1, 0] = 5.0
+        with pytest.raises(CarrierError, match="mixes dialect blocks"):
+            self.make((0,), mat)
+
+    def test_accepts_near_degenerate_contraction(self, rng):
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        h = q @ np.diag([0.9, -0.9 + 1e-7, 0.5, 0.1, -0.3, 0.0]) @ q.conj().T
+        op = from_location_matrix(tuple(range(6)), h)
+        assert op.dialect.is_factor()
+
+    def test_accepts_empty_carrier(self):
+        op = self.make((), np.zeros((0, 0)))
+        assert op.carrier == () and op.dense_payload().dim == 0
+
+
 class TestLdet:
     def test_zero(self):
         m = from_location_matrix((0,), [[0.0]])
@@ -135,6 +190,11 @@ class TestLdet:
         m = from_location_matrix((0,), [[-1.0]])
         assert math.isinf(ldet(m))
 
+    def test_no_underflow_on_large_carrier(self):
+        # det(1 - 0.7 I_700) = 0.3^700 is below the float range; -log of it is not
+        m = from_location_matrix(tuple(range(700)), 0.7 * np.eye(700))
+        assert ldet(m) == pytest.approx(-700 * math.log(0.3), rel=1e-12)
+
     def test_series_agrees_when_contractive(self, rng):
         m = from_location_matrix((0, 1, 2), hermitian_contraction(rng, 3, 0.7))
         assert abs(ldet(m) - ldet_series(m, 400)) < 1e-8
@@ -154,6 +214,11 @@ class TestMeasurements:
         z = from_location_matrix((0, 1), np.zeros((2, 2)))
         assert meas_mat(a, z) == 0.0
         assert meas_hyp(a.dense_payload(), z.dense_payload()) == 0.0
+
+    def test_meas_hyp_no_underflow_on_large_carrier(self):
+        carrier = tuple(range(700))
+        u = DenseOperator(carrier, 0.7 * np.eye(700))
+        assert meas_hyp(u, DenseOperator.identity(carrier)) == pytest.approx(-700 * math.log(0.3), rel=1e-12)
 
     def test_paper_2x2_pair(self):
         A = from_location_matrix((0, 1), [[0, -1], [-1, 0]])
