@@ -13,7 +13,7 @@ import json
 import math
 import sys
 
-from .config import DEFAULT_SEED
+from .config import DEFAULT_SEED, struct_tol
 from .errors import (
     GoiError,
     MissingVariableError,
@@ -263,6 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        struct_tol()
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_CONFIG
     return args.func(args)
 
 

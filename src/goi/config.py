@@ -7,6 +7,7 @@ structural predicate).
 
 from __future__ import annotations
 
+import math
 import os
 
 # Structural predicates: hermitian, projection, partial isometry.
@@ -23,7 +24,14 @@ DEFAULT_SEED = 0xC0FFEE
 
 
 def struct_tol() -> float:
+    """GOI_TOL when it is set, else STRUCT_TOL; ValueError unless finite and positive."""
     env = os.environ.get("GOI_TOL")
-    if env:
-        return float(env)
-    return STRUCT_TOL
+    if not env:
+        return STRUCT_TOL
+    try:
+        tol = float(env)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"GOI_TOL must be a finite positive number, got {env!r}")
+    return tol

@@ -25,14 +25,7 @@ from .errors import (
     NotNilpotentError,
     NotOrthogonalError,
 )
-from .groupoid import (
-    PartialInjectionOp,
-    Region,
-    compose,
-    nilpotency,
-    restrict_outside,
-    sum_disjoint,
-)
+from .groupoid import PartialInjectionOp, PathGraph, Region, sum_disjoint
 from .linalg import DenseOperator, operator_norm, projection_onto, spectral_radius, union_carrier
 from .measurement import (
     DialectalOperator,
@@ -67,8 +60,10 @@ def ex_goi1(u: PartialInjectionOp, v: PartialInjectionOp, cut_region=None) -> Pa
     """(1-p) sum_k (u v)^k u (1-p), p the projection onto the cut region.
 
     ``cut_region`` is a Region or a projection operator; by default the
-    support of v.  Computed by exact summation of the alternating paths
-    that start and end outside the cut region; requires u v nilpotent.
+    support of v.  Computed by walking the alternating paths u, u v u, u v u v u,
+    ... from each monomial of u whose domain is not inside the cut region
+    (``PathGraph.outside``); requires u v nilpotent, which the same path
+    graph decides first.
     """
     if cut_region is None:
         region = Region.from_support(v)
@@ -76,45 +71,11 @@ def ex_goi1(u: PartialInjectionOp, v: PartialInjectionOp, cut_region=None) -> Pa
         region = Region.from_support(cut_region)
     else:
         region = cut_region
-    uv = compose(u, v)
-    res = nilpotency(uv)
+    paths = PathGraph(u, ((v, u),))
+    res = paths.classify()
     if not res.is_nilpotent:
         raise NotNilpotentError(f"product is {res.kind}", witness=res.witness)
-    total = PartialInjectionOp.zero()
-    term = u
-    for _ in range(res.degree or 1):
-        kept = restrict_outside(term, region)
-        if not kept.is_zero():
-            total = sum_disjoint(total, kept)
-        term = compose(uv, term)
-        if term.is_zero():
-            break
-    return total
-
-
-def alternating_execution(U: PartialInjectionOp, V: PartialInjectionOp, region: Region) -> PartialInjectionOp:
-    """Sum of every alternating U/V word, restricted to end outside the region.
-
-    This is the expansion of (pU + q)(1 - VU)^-1(p + Vq); requires UV
-    nilpotent.
-    """
-    uv = compose(U, V)
-    res = nilpotency(uv)
-    if not res.is_nilpotent:
-        raise NotOrthogonalError(f"product is {res.kind}")
-    total = PartialInjectionOp.zero()
-    for first in (U, V):
-        term = first
-        second = V if first is U else U
-        flip = {id(U): V, id(V): U}
-        nxt = second
-        while not term.is_zero():
-            kept = restrict_outside(term, region)
-            if not kept.is_zero():
-                total = sum_disjoint(total, kept)
-            term = compose(nxt, term)
-            nxt = flip[id(nxt)]
-    return total
+    return paths.outside(region)
 
 
 # ----------------------------------------------------------------------
@@ -172,8 +133,15 @@ def plug_dialectal(A: DialectalOperator, B: DialectalOperator) -> DialectalOpera
     if A.is_symbolic and B.is_symbolic:
         Ad = dagger(A, B.dialect, B.pseudo_trace)
         Bd = ddagger(B, A.dialect, A.pseudo_trace)
+        # every alternating word of the two payloads: the paths that start in A and in B
+        from_a = PathGraph(Ad.op, ((Bd.op,), (Ad.op,)))
+        from_b = PathGraph(Bd.op, ((Ad.op,), (Bd.op,)))
+        for paths in (from_a, from_b):
+            res = paths.classify()
+            if not res.is_nilpotent:
+                raise NotOrthogonalError(f"product is {res.kind}")
         region = Region.from_locations(shared)
-        op = alternating_execution(Ad.op, Bd.op, region)
+        op = sum_disjoint(from_a.outside(region), from_b.outside(region))
         return DialectalOperator(result_carrier, Ad.dialect, Ad.pseudo_trace, op)
 
     Ad, Bd = extended_pair(A.as_dense(), B.as_dense())

@@ -22,6 +22,7 @@ the basis (dialect coordinate, or a private region for a cut).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -70,18 +71,76 @@ def word_unapply(word: str, x: int) -> int | None:
     return x
 
 
-def words_disjoint(a: str, b: str) -> bool:
-    """Cylinders of two words are disjoint iff neither word prefixes the other."""
-    return not (a.startswith(b) or b.startswith(a))
+def _address(n: int, length: int) -> str:
+    """The first ``length`` letters of the word read off n, as word_unapply peels them."""
+    letters = []
+    for _ in range(length):
+        letters.append("L" if n % 2 else "R")
+        n //= 2
+    return "".join(letters)
+
+
+# sorts after every address letter: word + _TOP bounds the words that extend word
+_TOP = "\U0010ffff"
+
+
+class _SideIndex:
+    """Items keyed by one side (slot, word) of a cylinder, for containment lookups.
+
+    The cylinder of a word w contains the cylinder of every word that w
+    prefixes.  Words prefixing a given word are found by exact lookups of
+    its prefixes; words extending it form one ``bisect`` range of the
+    sorted words of its slot.
+    """
+
+    __slots__ = ("by_key", "words", "longest")
+
+    def __init__(self, items: Iterable, key: Callable):
+        by_key: dict[tuple[int, str], list] = {}
+        for item in items:
+            by_key.setdefault(key(item), []).append(item)
+        words: dict[int, list[str]] = {}
+        for slot, word in by_key:
+            words.setdefault(slot, []).append(word)
+        for ws in words.values():
+            ws.sort()
+        self.by_key = by_key
+        self.words = words
+        self.longest = {slot: len(max(ws, key=len)) for slot, ws in words.items()}
+
+    def covering(self, slot: int, word: str) -> list:
+        """Items whose cylinder contains the cylinder of word (word itself included)."""
+        out = []
+        for k in range(min(len(word), self.longest.get(slot, -1)) + 1):
+            hit = self.by_key.get((slot, word[:k]))
+            if hit:
+                out.extend(hit)
+        return out
+
+    def within(self, slot: int, word: str) -> list:
+        """Items whose cylinder lies strictly inside the cylinder of word."""
+        ws = self.words.get(slot)
+        if not ws:
+            return []
+        lo = bisect_right(ws, word)
+        hi = bisect_left(ws, word + _TOP, lo)
+        return [item for w in ws[lo:hi] for item in self.by_key[(slot, w)]]
+
+    def at(self, idx: Idx) -> list:
+        """Items whose cylinder contains the index."""
+        length = self.longest.get(idx.slot)
+        if length is None:
+            return []
+        return self.covering(idx.slot, _address(idx.value, length))
 
 
 # ----------------------------------------------------------------------
 # Branches
 
 
-def _check_unimodular(weight: complex) -> complex:
+def _check_unimodular(weight: complex, tol: float) -> complex:
     weight = complex(weight)
-    if abs(abs(weight) - 1.0) > struct_tol():
+    if abs(abs(weight) - 1.0) > tol:
         raise ValueError(f"weights must have modulus 1, got {weight}")
     return weight
 
@@ -142,19 +201,27 @@ class _Rule:
 class PartialInjectionOp:
     """Weighted partial injection: finite table + cylinder monomials + rules."""
 
-    __slots__ = ("table", "cyls", "rules")
+    __slots__ = ("table", "cyls", "rules", "_index")
 
     def __init__(self, table=None, cyls=(), rules=(), validate: bool = True):
+        tol = struct_tol()
         tbl: dict[Idx, tuple[Idx, complex]] = {}
         for src, (dst, w) in (table or {}).items():
-            tbl[as_idx(src)] = (as_idx(dst), _check_unimodular(w))
+            tbl[as_idx(src)] = (as_idx(dst), _check_unimodular(w, tol))
         self.table = tbl
         self.cyls = tuple(cyls)
         self.rules = tuple(rules)
+        self._index = None
         for c in self.cyls:
-            _check_unimodular(c.weight)
+            _check_unimodular(c.weight, tol)
         if validate:
             self._validate()
+
+    def index(self) -> "_OpIndex":
+        """Cylinders by domain and by range side, table arrows by source slot; built on first use."""
+        if self._index is None:
+            self._index = _OpIndex(self)
+        return self._index
 
     # -- construction helpers ------------------------------------------
 
@@ -176,6 +243,11 @@ class PartialInjectionOp:
         return PartialInjectionOp(cyls=(_Cyl(out_word, out_slot, in_word, in_slot, complex(weight)),))
 
     @staticmethod
+    def cylinders(monomials: Iterable[tuple]) -> "PartialInjectionOp":
+        """Validated sum of monomials given as ``cylinder`` arguments (out_word, in_word, weight, out_slot, in_slot)."""
+        return PartialInjectionOp(cyls=tuple(_Cyl(o, os_, i, is_, complex(w)) for o, i, w, os_, is_ in monomials))
+
+    @staticmethod
     def identity_on(indices: Iterable) -> "PartialInjectionOp":
         return PartialInjectionOp({as_idx(i): (as_idx(i), 1.0 + 0j) for i in indices})
 
@@ -191,20 +263,22 @@ class PartialInjectionOp:
             if dst in targets:
                 raise DisjointnessError(f"two sources map to target {dst}", index=dst)
             targets[dst] = src
-        for i, c in enumerate(self.cyls):
+        if not self.cyls:
+            return
+        if self.table:
+            sides = self.index()
             for src in self.table:
-                if c.apply(src) is not None:
+                if sides.ins.at(src):
                     raise DisjointnessError(f"table and cylinder domains overlap at {src}", index=src)
             for dst in targets:
-                if c.unapply(dst) is not None:
+                if sides.outs.at(dst):
                     raise DisjointnessError(f"table and cylinder ranges overlap at {dst}", index=dst)
-            for d in self.cyls[i + 1 :]:
-                if c.in_slot == d.in_slot and not words_disjoint(c.in_word, d.in_word):
-                    witness = Idx(word_apply(max(c.in_word, d.in_word, key=len), 0), c.in_slot)
-                    raise DisjointnessError("cylinder domains overlap", index=witness)
-                if c.out_slot == d.out_slot and not words_disjoint(c.out_word, d.out_word):
-                    witness = Idx(word_apply(max(c.out_word, d.out_word, key=len), 0), c.out_slot)
-                    raise DisjointnessError("cylinder ranges overlap", index=witness)
+        witness = _prefix_clash(sorted((c.in_slot, c.in_word) for c in self.cyls))
+        if witness is not None:
+            raise DisjointnessError("cylinder domains overlap", index=witness)
+        witness = _prefix_clash(sorted((c.out_slot, c.out_word) for c in self.cyls))
+        if witness is not None:
+            raise DisjointnessError("cylinder ranges overlap", index=witness)
 
     # -- queries ---------------------------------------------------------
 
@@ -223,10 +297,9 @@ class PartialInjectionOp:
         hit = self.table.get(idx)
         if hit is not None:
             return hit
-        for c in self.cyls:
-            r = c.apply(idx)
-            if r is not None:
-                return r
+        if self.cyls:
+            for c in self.index().ins.at(idx):
+                return c.apply(idx)
         for rl in self.rules:
             r = rl.fwd(idx)
             if r is not None:
@@ -238,10 +311,9 @@ class PartialInjectionOp:
         for src, (dst, w) in self.table.items():
             if dst == idx:
                 return src, w
-        for c in self.cyls:
-            r = c.unapply(idx)
-            if r is not None:
-                return r
+        if self.cyls:
+            for c in self.index().outs.at(idx):
+                return c.unapply(idx)
         for rl in self.rules:
             r = rl.bwd(idx)
             if r is not None:
@@ -283,6 +355,32 @@ class PartialInjectionOp:
         for r in self.rules:
             bits.append(r.name)
         return f"PartialInjectionOp({', '.join(bits) or '0'})"
+
+
+class _OpIndex:
+    """The lookups of one operator: cylinders by domain and by range, table arrows by source slot."""
+
+    __slots__ = ("ins", "outs", "table_by_slot")
+
+    def __init__(self, op: PartialInjectionOp):
+        self.ins = _SideIndex(op.cyls, lambda c: (c.in_slot, c.in_word))
+        self.outs = _SideIndex(op.cyls, lambda c: (c.out_slot, c.out_word))
+        by_slot: dict[int, list] = {}
+        for src, (dst, w) in op.table.items():
+            by_slot.setdefault(src.slot, []).append((src, dst, w))
+        self.table_by_slot = by_slot
+
+
+def _prefix_clash(keys: list[tuple[int, str]]) -> Idx | None:
+    """An index inside two of the sorted (slot, word) cylinders, if two of them meet.
+
+    A word that prefixes another also prefixes its sorted successor, so
+    testing neighbours finds every clash.
+    """
+    for (slot, a), (next_slot, b) in zip(keys, keys[1:]):
+        if slot == next_slot and b.startswith(a):
+            return Idx(word_apply(b, 0), slot)
+    return None
 
 
 def _merge_cylinders(cyls: Sequence[_Cyl]) -> tuple[_Cyl, ...]:
@@ -355,21 +453,24 @@ def compose(u: PartialInjectionOp, v: PartialInjectionOp) -> PartialInjectionOp:
         if hit is not None:
             table[src] = (hit[0], w * hit[1])
     # u's finite arrows pulled back through v's infinite parts
-    for mid, (dst, w) in u.table.items():
-        for c in v.cyls:
-            r = c.unapply(mid)
-            if r is not None:
+    if u.table and v.cyls:
+        outs = v.index().outs
+        for mid, (dst, w) in u.table.items():
+            for c in outs.at(mid):
+                r = c.unapply(mid)
                 table[r[0]] = (dst, w * r[1])
+    for mid, (dst, w) in u.table.items():
         for rl in v.rules:
             r = rl.bwd(mid)
             if r is not None:
                 table[r[0]] = (dst, w * r[1])
-    # cylinder algebra
-    for cu in u.cyls:
+    # cylinder algebra: each cylinder of v meets only the cylinders of u whose domain word
+    # prefixes or extends its range word
+    if u.cyls and v.cyls:
+        ins = u.index().ins
         for cv in v.cyls:
-            r = _compose_cyl(cu, cv)
-            if r is not None:
-                cyls.append(r)
+            for cu in ins.covering(cv.out_slot, cv.out_word) + ins.within(cv.out_slot, cv.out_word):
+                cyls.append(_compose_cyl(cu, cv))
 
     # products touching a rule stay lazy
     def lazy(name: str, left: "PartialInjectionOp", right: "PartialInjectionOp") -> _Rule:
@@ -468,17 +569,15 @@ class NilpotencyResult:
 def nilpotency(u: PartialInjectionOp, seeds: Iterable | None = None, budget: int = ORBIT_BUDGET) -> NilpotencyResult:
     """Classify u as Nilpotent(degree), Cyclic(witness) or Exceeded.
 
-    With explicit seeds (mandatory for rule-backed operators) the orbit
-    of every seed is walked.  Finite tables default to their full domain,
-    so the answer is exact.  Cylinder-bearing operators without seeds are
-    classified by exact symbolic powering.
+    Without seeds the paths of u through itself are searched once, memoised
+    by range side (``PathGraph.classify``), which is exact for tables and
+    cylinders alike.  Rule-backed operators need explicit seeds, whose
+    orbits are walked point by point.
     """
     if seeds is None:
         if u.has_rules:
             raise ValueError("seeds are mandatory for rule-backed operators")
-        if not u.is_finite():
-            return _nilpotency_symbolic(u, budget)
-        seeds = u.table.keys()
+        return PathGraph(u, ((u,),)).classify(budget)
     longest = 0
     for seed in seeds:
         seen = {as_idx(seed)}
@@ -499,26 +598,147 @@ def nilpotency(u: PartialInjectionOp, seeds: Iterable | None = None, budget: int
     return NilpotencyResult("nilpotent", degree=longest + 1)
 
 
-def _nilpotency_symbolic(u: PartialInjectionOp, budget: int) -> NilpotencyResult:
-    power = u
-    seen = {power.canonical()}
-    degree = 1
-    while True:
-        if power.is_zero():
-            return NilpotencyResult("nilpotent", degree=degree)
-        power = compose(u, power)
-        degree += 1
-        key = power.canonical()
-        if key in seen and not power.is_zero():
-            pts = power.domain_points()
-            if pts:
-                walk = nilpotency(u, seeds=pts[:1], budget=budget)
-                if walk.kind == "cyclic":
-                    return walk
-            return NilpotencyResult("cyclic", witness=pts[0] if pts else None)
-        seen.add(key)
-        if degree > budget:
-            return NilpotencyResult("exceeded", budget=budget)
+class PathGraph:
+    """Paths that start with a monomial of ``first`` and then cross ``stages`` in turn.
+
+    A stage is a tuple of operators applied in order; the stages repeat
+    cyclically.  ``PathGraph(u, ((v, u),))`` holds the paths of
+    (uv)^k u, and ``PathGraph(u, ((u,),))`` those of the powers of u.
+
+    A node is where a path stands after a stage: ``(phase, key)``, with
+    ``phase`` the index of the next stage and ``key`` either
+    ``(slot, word)``, for a path of cylinder monomials whose range is that
+    cylinder, or the ``Idx`` at which a finite arrow ends.  How a path
+    continues depends on its node alone, so the edges out of a node are
+    computed once.  An edge is ``(refine, residual, node, weight)``: the
+    part of a cylinder path's domain that continues is selected by
+    appending ``refine`` to its domain word; a cylinder path that
+    continues as a finite arrow has ``residual`` n, and its source is the
+    refined domain word applied to n (``residual`` is None otherwise).
+    """
+
+    def __init__(self, first: PartialInjectionOp, stages: Sequence[Sequence[PartialInjectionOp]]):
+        self.stages = tuple(tuple(stage) for stage in stages)
+        if first.has_rules or any(op.has_rules for stage in self.stages for op in stage):
+            raise ValueError("rule-backed operators have no exact path expansion")
+        self.first = first
+        self._edges: dict = {}
+
+    def starts(self) -> list[tuple[tuple, tuple | Idx, complex]]:
+        """(node, domain, weight) of each monomial of ``first``; a cylinder domain is (slot, word)."""
+        out = [((0, (c.out_slot, c.out_word)), (c.in_slot, c.in_word), c.weight) for c in self.first.cyls]
+        out += [((0, dst), src, w) for src, (dst, w) in self.first.table.items()]
+        return out
+
+    def edges(self, node: tuple) -> list[tuple[str, int | None, tuple, complex]]:
+        """How the paths standing at node continue through its stage; computed on first use."""
+        hit = self._edges.get(node)
+        if hit is None:
+            phase, key = node
+            paths = [("", None, key, None)]
+            for op in self.stages[phase]:
+                paths = [
+                    (refine + more, residual if n is None else n, after, w if acc is None else acc * w)
+                    for refine, residual, at, acc in paths
+                    for more, n, after, w in _cross(op, at)
+                ]
+            following = (phase + 1) % len(self.stages)
+            hit = self._edges[node] = [(refine, residual, (following, at), w) for refine, residual, at, w in paths]
+        return hit
+
+    def classify(self, budget: int = ORBIT_BUDGET) -> NilpotencyResult:
+        """Depth-first search over the nodes reached from every start, each node expanded once.
+
+        A node met again on the current path is ``cyclic``: some path repeats
+        its range side, so no power of the stage cycle vanishes.  A path of
+        more than ``budget`` stages is ``exceeded``.  Otherwise the degree is
+        two more than the most stages on a path (1 when ``first`` is zero),
+        which is the nilpotency degree of u for ``PathGraph(u, ((u,),))``.
+        """
+        longest: dict[tuple, int] = {}  # node -> most stages on a path out of it
+        on_path: set[tuple] = set()
+        deepest = -1
+        for root, _, _ in self.starts():
+            if root not in longest:
+                on_path.add(root)
+                stack = [(root, iter(self.edges(root)))]
+                while stack:
+                    node, pending = stack[-1]
+                    for edge in pending:
+                        child = edge[2]
+                        if child in on_path:
+                            return NilpotencyResult("cyclic", witness=_sample(child[1]))
+                        if child not in longest:
+                            if len(stack) > budget:
+                                return NilpotencyResult("exceeded", budget=budget)
+                            on_path.add(child)
+                            stack.append((child, iter(self.edges(child))))
+                            break
+                    else:
+                        stack.pop()
+                        on_path.discard(node)
+                        longest[node] = 1 + max((longest[e[2]] for e in self.edges(node)), default=-1)
+            deepest = max(deepest, longest[root])
+        return NilpotencyResult("nilpotent", degree=deepest + 2)
+
+    def outside(self, region: "Region") -> PartialInjectionOp:
+        """Sum over every path and every stage of the part that starts and ends outside the region.
+
+        Paths that start inside the region are not followed.  The walk ends
+        only if ``classify`` finds the paths nilpotent.
+        """
+        table: dict[Idx, tuple[Idx, complex]] = {}
+        cyls: list[_Cyl] = []
+        stack = [start for start in self.starts() if not _starts_inside(start[1], region)]
+        while stack:
+            node, domain, acc = stack.pop()
+            key = node[1]
+            if isinstance(key, Idx):
+                if not region.contains(domain) and not region.contains(key):
+                    if domain in table:
+                        raise DisjointnessError(f"domains overlap at {domain}", index=domain)
+                    table[domain] = (key, acc)
+            else:
+                _restrict_cylinder(_Cyl(key[1], key[0], domain[1], domain[0], acc), region, cyls)
+            for refine, residual, child, w in self.edges(node):
+                if residual is not None:
+                    after = Idx(word_apply(domain[1] + refine, residual), domain[0])
+                elif refine:
+                    after = (domain[0], domain[1] + refine)
+                else:
+                    stack.append((child, domain, w * acc))
+                    continue
+                if not _starts_inside(after, region):
+                    stack.append((child, after, w * acc))
+        return PartialInjectionOp(table, cyls)
+
+
+def _starts_inside(domain, region: "Region") -> bool:
+    """Whether a path's domain, an Idx or a (slot, word) cylinder, lies inside the region."""
+    if isinstance(domain, Idx):
+        return region.contains(domain)
+    return region.classify_cylinder(domain[1], domain[0]) == "inside"
+
+
+def _cross(op: PartialInjectionOp, key) -> list[tuple[str, int | None, object, complex]]:
+    """One step of a path standing at key through op: (refine, residual, key after, weight)."""
+    if isinstance(key, Idx):
+        hit = op.apply(key)
+        return [] if hit is None else [("", None, hit[0], hit[1])]
+    slot, word = key
+    sides = op.index()
+    out = [("", None, (c.out_slot, c.out_word + word[len(c.in_word) :]), c.weight) for c in sides.ins.covering(slot, word)]
+    out += [(c.in_word[len(word) :], None, (c.out_slot, c.out_word), c.weight) for c in sides.ins.within(slot, word)]
+    for src, dst, w in sides.table_by_slot.get(slot, ()):
+        n = word_unapply(word, src.value)
+        if n is not None:
+            out.append(("", n, dst, w))
+    return out
+
+
+def _sample(key) -> Idx:
+    """An index at a node key: the point itself, or the cylinder's image of 0."""
+    return key if isinstance(key, Idx) else Idx(word_apply(key[1], 0), key[0])
 
 
 # ----------------------------------------------------------------------
@@ -532,6 +752,7 @@ class Region:
         self.points = frozenset(as_idx(p) for p in points)
         self.cylinders = tuple(cylinders)
         self.location_values = None if location_values is None else frozenset(int(v) for v in location_values)
+        self._index = _SideIndex(self.cylinders, lambda c: (c[1], c[0]))
 
     @staticmethod
     def from_support(p: PartialInjectionOp) -> "Region":
@@ -555,32 +776,20 @@ class Region:
     def contains(self, idx: Idx) -> bool:
         if self.location_values is not None and idx.value in self.location_values:
             return True
-        if idx in self.points:
-            return True
-        for word, slot in self.cylinders:
-            if idx.slot == slot and word_unapply(word, idx.value) is not None:
-                return True
-        return False
+        return idx in self.points or bool(self._index.at(idx))
 
     def classify_cylinder(self, word: str, slot: int) -> str:
         """'inside' | 'outside' | 'partial' for a dyadic cylinder wrt this region."""
         if self.location_values is not None:
             raise ValueError("location regions do not classify cylinders")
-        inside = False
-        partial = False
-        for w, s in self.cylinders:
-            if s != slot:
-                continue
-            if word.startswith(w):
-                inside = True
-            elif w.startswith(word):
-                partial = True
-        if inside:
+        if self._index.covering(slot, word):
             return "inside"
+        if self._index.within(slot, word):
+            return "partial"
         for p in self.points:
             if p.slot == slot and word_unapply(word, p.value) is not None:
-                partial = True
-        return "partial" if partial else "outside"
+                return "partial"
+        return "outside"
 
 
 _MAX_REFINE = 64
@@ -600,7 +809,14 @@ def restrict_outside(u: PartialInjectionOp, region: Region) -> PartialInjectionO
             raise ValueError("location regions only restrict finite operators")
         return PartialInjectionOp(table, validate=False)
     cyls: list[_Cyl] = []
-    stack = [(c, 0) for c in u.cyls]
+    for c in u.cyls:
+        _restrict_cylinder(c, region, cyls)
+    return PartialInjectionOp(table, cyls, validate=False)
+
+
+def _restrict_cylinder(c: _Cyl, region: Region, out: list) -> None:
+    """Append to out the monomials of c whose domain and range lie outside the region."""
+    stack = [(c, 0)]
     while stack:
         c, depth = stack.pop()
         cd = region.classify_cylinder(c.in_word, c.in_slot)
@@ -608,7 +824,7 @@ def restrict_outside(u: PartialInjectionOp, region: Region) -> PartialInjectionO
         if cd == "inside" or cr == "inside":
             continue
         if cd == "outside" and cr == "outside":
-            cyls.append(c)
+            out.append(c)
             continue
         if depth >= _MAX_REFINE:
             raise ValueError("restriction is not expressible as a finite cylinder union")
@@ -617,7 +833,6 @@ def restrict_outside(u: PartialInjectionOp, region: Region) -> PartialInjectionO
             stack.append(
                 (_Cyl(c.out_word + letter, c.out_slot, c.in_word + letter, c.in_slot, c.weight), depth + 1)
             )
-    return PartialInjectionOp(table, cyls, validate=False)
 
 
 # ----------------------------------------------------------------------

@@ -163,7 +163,6 @@ class SpectralReport:
     norm of repeated squares); ``lower_bound`` comes from trace powers.
     """
 
-    norm: float
     spectral_radius: float
     lower_bound: float
     exact_zero: bool = False
@@ -201,8 +200,7 @@ def spectral_radius(a: DenseOperator, tol: float = 1e-9) -> SpectralReport:
         raise ValueError("tol must be positive")
     n = a.dim
     if n == 0 or not np.any(a.mat):
-        return SpectralReport(0.0, 0.0, 0.0, exact_zero=True, note="zero operator")
-    nrm = operator_norm(a)
+        return SpectralReport(0.0, 0.0, exact_zero=True, note="zero operator")
 
     b = np.array(a.mat)
     log_norm = 0.0  # log of the scale factor pulled out of b
@@ -215,7 +213,7 @@ def spectral_radius(a: DenseOperator, tol: float = 1e-9) -> SpectralReport:
         fro = float(np.linalg.norm(b2))
         power *= 2
         if fro == 0.0:
-            return SpectralReport(nrm, 0.0, 0.0, exact_zero=True, note="nilpotent: some power vanishes")
+            return SpectralReport(0.0, 0.0, exact_zero=True, note="nilpotent: some power vanishes")
         log_norm = 2.0 * log_norm + math.log(fro)
         b = b2 / fro
         cand = math.exp(log_norm / power) * (1.0 + 1e-13)
@@ -231,7 +229,7 @@ def spectral_radius(a: DenseOperator, tol: float = 1e-9) -> SpectralReport:
         lower = upper
     if 0.999 <= upper and lower <= 1.001 and not (upper < 1.0 or lower >= 1.0 - 1e-12):
         note = "bounds straddle 1"
-    return SpectralReport(nrm, upper, lower, note=note)
+    return SpectralReport(upper, lower, note=note)
 
 
 def plain_det(a: DenseOperator) -> complex:

@@ -13,7 +13,7 @@ from itertools import count
 
 from ..errors import UnsupportedRuleError
 from ..execution import ex_goi1
-from ..groupoid import PartialInjectionOp, Region, sum_disjoint
+from ..groupoid import PartialInjectionOp, Region
 from .locations import AddressSite, GoiPlan, allocate_goi1
 from .rewrite import normalize_mll
 from .syntax import (
@@ -27,30 +27,42 @@ from .syntax import (
     leaf_paths,
     par_positions,
     sequent_of,
+    subproof_sequents,
 )
 
 
-def _link(a: AddressSite, b: AddressSite) -> PartialInjectionOp:
-    """Partial symmetry exchanging two leaf addresses."""
-    fwd = PartialInjectionOp.cylinder(b.word, a.word, 1.0, out_slot=b.slot, in_slot=a.slot)
-    return sum_disjoint(fwd, PartialInjectionOp.cylinder(a.word, b.word, 1.0, out_slot=a.slot, in_slot=b.slot))
+def _link(a: AddressSite, b: AddressSite) -> tuple[tuple, tuple]:
+    """The two monomials, as ``PartialInjectionOp.cylinders`` takes them, of the symmetry exchanging two leaf addresses."""
+    return (b.word, a.word, 1.0, b.slot, a.slot), (a.word, b.word, 1.0, a.slot, b.slot)
 
 
-def _matcher(word_a: str, word_b: str, slot: int, formula) -> PartialInjectionOp:
-    """Leafwise symmetry between a formula tree and its dual across a cut."""
-    total = PartialInjectionOp.zero()
+def _matcher(word_a: str, word_b: str, slot: int, formula) -> list[tuple]:
+    """Leafwise symmetry between a formula tree and its dual across a cut, as monomials."""
+    out: list[tuple] = []
     for path, _leaf in leaf_paths(formula):
-        link = _link(AddressSite(word_a + path, slot, None), AddressSite(word_b + path, slot, None))
-        total = sum_disjoint(total, link)
-    return total
+        out.extend(_link(AddressSite(word_a + path, slot, None), AddressSite(word_b + path, slot, None)))
+    return out
 
 
-def _interpret(node: ProofTree, sites: list[AddressSite], cuts) -> tuple[PartialInjectionOp, PartialInjectionOp]:
+class _Links:
+    """What the interpretation collects: the monomials of the axiom links and of the cut links."""
+
+    def __init__(self, proof: ProofTree):
+        self.sequents = subproof_sequents(proof)
+        self.cuts = count(1)
+        self.axioms: list[tuple] = []
+        self.matchers: list[tuple] = []
+
+    def sequent(self, node: ProofTree) -> tuple:
+        return self.sequents[id(node)]
+
+
+def _interpret(node: ProofTree, sites: list[AddressSite], links: _Links) -> None:
     if isinstance(node, Ax):
         a, b = sites
-        return _link(a, b), PartialInjectionOp.zero()
-    if isinstance(node, Par):
-        s = sequent_of(node.premise)
+        links.axioms.extend(_link(a, b))
+    elif isinstance(node, Par):
+        s = links.sequent(node.premise)
         layout = par_positions(len(s), node.i, node.j)
         pf = sites[min(node.i, node.j)]
         conc_pos = {prem: k for k, prem in enumerate(layout) if prem is not None}
@@ -62,18 +74,16 @@ def _interpret(node: ProofTree, sites: list[AddressSite], cuts) -> tuple[Partial
                 prem_sites.append(pf.right())
             else:
                 prem_sites.append(sites[conc_pos[k]])
-        return _interpret(node.premise, prem_sites, cuts)
-    if isinstance(node, TensorRule):
-        s1 = sequent_of(node.left)
-        n1 = len(s1) - 1
+        _interpret(node.premise, prem_sites, links)
+    elif isinstance(node, TensorRule):
+        n1 = len(links.sequent(node.left)) - 1
         t = sites[0]
-        pi1, sg1 = _interpret(node.left, [t.left()] + sites[1 : 1 + n1], cuts)
-        pi2, sg2 = _interpret(node.right, [t.right()] + sites[1 + n1 :], cuts)
-        return sum_disjoint(pi1, pi2), sum_disjoint(sg1, sg2)
-    if isinstance(node, Cut):
-        slot = next(cuts) + 1
-        s1 = sequent_of(node.left)
-        s2 = sequent_of(node.right)
+        _interpret(node.left, [t.left()] + sites[1 : 1 + n1], links)
+        _interpret(node.right, [t.right()] + sites[1 + n1 :], links)
+    elif isinstance(node, Cut):
+        slot = next(links.cuts)
+        s1 = links.sequent(node.left)
+        s2 = links.sequent(node.right)
         i1 = s1.index(node.formula)
         i2 = s2.index(dual(node.formula))
         n1 = len(s1) - 1
@@ -83,22 +93,24 @@ def _interpret(node: ProofTree, sites: list[AddressSite], cuts) -> tuple[Partial
         sites1 = sites1[:i1] + [site_a] + sites1[i1:]
         sites2 = sites[n1:]
         sites2 = sites2[:i2] + [site_b] + sites2[i2:]
-        pi1, sg1 = _interpret(node.left, sites1, cuts)
-        pi2, sg2 = _interpret(node.right, sites2, cuts)
-        sigma = sum_disjoint(sum_disjoint(sg1, sg2), _matcher("R", "L", slot, node.formula))
-        return sum_disjoint(pi1, pi2), sigma
-    if isinstance(node, Exchange):
+        _interpret(node.left, sites1, links)
+        _interpret(node.right, sites2, links)
+        links.matchers.extend(_matcher("R", "L", slot, node.formula))
+    elif isinstance(node, Exchange):
         prem_sites: list[AddressSite | None] = [None] * len(node.perm)
         for k, t in enumerate(node.perm):
             prem_sites[t] = sites[k]
-        return _interpret(node.premise, prem_sites, cuts)
-    raise UnsupportedRuleError(f"{type(node).__name__} is outside the multiplicative fragment")
+        _interpret(node.premise, prem_sites, links)
+    else:
+        raise UnsupportedRuleError(f"{type(node).__name__} is outside the multiplicative fragment")
 
 
 def interpret_mll_goi1(proof: ProofTree, plan: GoiPlan | None = None) -> tuple[PartialInjectionOp, PartialInjectionOp]:
     """Axiom-link and cut-link partial symmetries of a multiplicative proof."""
     plan = plan if plan is not None else allocate_goi1(proof)
-    return _interpret(proof, list(plan.sites), count(0))
+    links = _Links(proof)
+    _interpret(proof, list(plan.sites), links)
+    return PartialInjectionOp.cylinders(links.axioms), PartialInjectionOp.cylinders(links.matchers)
 
 
 def soundness_check_mll(proof: ProofTree) -> bool:

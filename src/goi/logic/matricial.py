@@ -50,7 +50,7 @@ from .syntax import (
     _Reader,
     _is_atom,
     par_positions,
-    sequent_of,
+    subproof_sequents,
 )
 
 # ----------------------------------------------------------------------
@@ -202,12 +202,12 @@ def parse_basis(text: str) -> InterpretationBasis:
 # Interpretation
 
 
-def _interpret(node: ProofTree, sites: list[CarrierSite], cuts: list, basis: InterpretationBasis) -> Project:
+def _interpret(node: ProofTree, sites: list[CarrierSite], cuts: list, basis: InterpretationBasis, sequents: dict) -> Project:
     if isinstance(node, Ax):
         a, b = sites
         return build_fax(a.delocation, b.delocation)
     if isinstance(node, Par):
-        s = sequent_of(node.premise)
+        s = sequents[id(node.premise)]
         layout = par_positions(len(s), node.i, node.j)
         pf = sites[min(node.i, node.j)]
         conc_pos = {prem: k for k, prem in enumerate(layout) if prem is not None}
@@ -219,18 +219,18 @@ def _interpret(node: ProofTree, sites: list[CarrierSite], cuts: list, basis: Int
                 prem_sites.append(pf.right())
             else:
                 prem_sites.append(sites[conc_pos[k]])
-        return _interpret(node.premise, prem_sites, cuts, basis)
+        return _interpret(node.premise, prem_sites, cuts, basis, sequents)
     if isinstance(node, TensorRule):
-        s1 = sequent_of(node.left)
+        s1 = sequents[id(node.left)]
         n1 = len(s1) - 1
         t = sites[0]
-        f1 = _interpret(node.left, [t.left()] + sites[1 : 1 + n1], cuts, basis)
-        f2 = _interpret(node.right, [t.right()] + sites[1 + n1 :], cuts, basis)
+        f1 = _interpret(node.left, [t.left()] + sites[1 : 1 + n1], cuts, basis, sequents)
+        f2 = _interpret(node.right, [t.right()] + sites[1 + n1 :], cuts, basis, sequents)
         return tensor_project(f1, f2)
     if isinstance(node, Cut):
         site_a, site_b = cuts.pop(0)
-        s1 = sequent_of(node.left)
-        s2 = sequent_of(node.right)
+        s1 = sequents[id(node.left)]
+        s2 = sequents[id(node.right)]
         i1 = s1.index(node.formula)
         i2 = s2.index(_dual_formula(node.formula))
         n1 = len(s1) - 1
@@ -238,21 +238,21 @@ def _interpret(node: ProofTree, sites: list[CarrierSite], cuts: list, basis: Int
         sites1 = sites1[:i1] + [site_a] + sites1[i1:]
         sites2 = sites[n1:]
         sites2 = sites2[:i2] + [site_b] + sites2[i2:]
-        f1 = _interpret(node.left, sites1, cuts, basis)
-        f2 = _interpret(node.right, sites2, cuts, basis)
+        f1 = _interpret(node.left, sites1, cuts, basis, sequents)
+        f2 = _interpret(node.right, sites2, cuts, basis, sequents)
         return plug_project(f1, f2)
     if isinstance(node, PlusL):
         site = sites[0]
-        f = _interpret(node.premise, [site.left()] + sites[1:], cuts, basis)
+        f = _interpret(node.premise, [site.left()] + sites[1:], cuts, basis, sequents)
         return extend_carrier(f, site.right().locations)
     if isinstance(node, PlusR):
         site = sites[0]
-        f = _interpret(node.premise, [site.right()] + sites[1:], cuts, basis)
+        f = _interpret(node.premise, [site.right()] + sites[1:], cuts, basis, sequents)
         return extend_carrier(f, site.left().locations)
     if isinstance(node, With):
         site = sites[0]
-        f1 = _interpret(node.left, [site.left()] + sites[1:], cuts, basis)
-        f2 = _interpret(node.right, [site.right()] + sites[1:], cuts, basis)
+        f1 = _interpret(node.left, [site.left()] + sites[1:], cuts, basis, sequents)
+        f2 = _interpret(node.right, [site.right()] + sites[1:], cuts, basis, sequents)
         return with_bar(f1, f2)
     if isinstance(node, TopRule):
         carrier = tuple(loc for s in sites for loc in s.locations)
@@ -261,7 +261,7 @@ def _interpret(node: ProofTree, sites: list[CarrierSite], cuts: list, basis: Int
         prem_sites = [None] * len(node.perm)
         for k, t in enumerate(node.perm):
             prem_sites[t] = sites[k]
-        return _interpret(node.premise, prem_sites, cuts, basis)
+        return _interpret(node.premise, prem_sites, cuts, basis, sequents)
     raise CarrierError(f"unknown node {node!r}")
 
 
@@ -274,7 +274,7 @@ def _dual_formula(f):
 def interpret_mall_matricial(proof: ProofTree, basis: InterpretationBasis, plan: MatPlan | None = None) -> Project:
     """Project interpretation of an additive-multiplicative proof."""
     plan = plan if plan is not None else allocate_matricial(proof, basis)
-    return _interpret(proof, list(plan.sites), list(plan.cut_sites), basis)
+    return _interpret(proof, list(plan.sites), list(plan.cut_sites), basis, subproof_sequents(proof))
 
 
 # ----------------------------------------------------------------------

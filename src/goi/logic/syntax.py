@@ -189,11 +189,36 @@ def par_positions(n_premise: int, i: int, j: int) -> list[int | None]:
 
 def sequent_of(p: ProofTree, path: tuple = ()) -> tuple:
     """Conclusion sequent, validating every rule application on the way."""
+    return subproof_sequents(p, path)[id(p)]
+
+
+def subproof_sequents(p: ProofTree, path: tuple = ()) -> dict[int, tuple]:
+    """Conclusion of every subproof keyed by ``id(node)``, each rule checked once.
+
+    The tree is walked bottom-up, left premise first, so the first rule
+    error reported is the one the recursive definition meets first.
+    """
+    out: dict[int, tuple] = {}
+    stack = [(p, path, False)]
+    while stack:
+        node, where, ready = stack.pop()
+        if id(node) in out:
+            continue
+        subs = premises(node)
+        if ready or not subs:
+            out[id(node)] = _conclusion(node, [out[id(q)] for q in subs], where)
+        else:
+            stack.append((node, where, True))
+            stack.extend((subs[k], where + (k,), False) for k in reversed(range(len(subs))))
+    return out
+
+
+def _conclusion(p: ProofTree, prem: list[tuple], path: tuple) -> tuple:
+    """Conclusion of the last rule of p from its premises' conclusions."""
     if isinstance(p, Ax):
         return (DualVar(p.var), Var(p.var))
     if isinstance(p, Cut):
-        s1 = sequent_of(p.left, path + (0,))
-        s2 = sequent_of(p.right, path + (1,))
+        s1, s2 = prem
         if p.formula not in s1:
             raise RuleApplicationError(
                 f"cut formula {fmt(p.formula)} missing from the left premise", rule="Cut", path=path
@@ -206,13 +231,12 @@ def sequent_of(p: ProofTree, path: tuple = ()) -> tuple:
         i2 = s2.index(dual(p.formula))
         return tuple(x for k, x in enumerate(s1) if k != i1) + tuple(x for k, x in enumerate(s2) if k != i2)
     if isinstance(p, TensorRule):
-        s1 = sequent_of(p.left, path + (0,))
-        s2 = sequent_of(p.right, path + (1,))
+        s1, s2 = prem
         if not s1 or not s2:
             raise RuleApplicationError("tensor premises must be nonempty", rule="Tensor", path=path)
         return (Bin("tensor", s1[0], s2[0]),) + s1[1:] + s2[1:]
     if isinstance(p, Par):
-        s = sequent_of(p.premise, path + (0,))
+        (s,) = prem
         n = len(s)
         if p.i == p.j or not (0 <= p.i < n) or not (0 <= p.j < n):
             raise RuleApplicationError(f"par indices ({p.i}, {p.j}) out of range", rule="Par", path=path)
@@ -225,18 +249,17 @@ def sequent_of(p: ProofTree, path: tuple = ()) -> tuple:
                 out.append(s[k])
         return tuple(out)
     if isinstance(p, PlusL):
-        s = sequent_of(p.premise, path + (0,))
+        (s,) = prem
         if not s:
             raise RuleApplicationError("plus premise must be nonempty", rule="PlusL", path=path)
         return (Bin("plus", s[0], p.other),) + s[1:]
     if isinstance(p, PlusR):
-        s = sequent_of(p.premise, path + (0,))
+        (s,) = prem
         if not s:
             raise RuleApplicationError("plus premise must be nonempty", rule="PlusR", path=path)
         return (Bin("plus", p.other, s[0]),) + s[1:]
     if isinstance(p, With):
-        s1 = sequent_of(p.left, path + (0,))
-        s2 = sequent_of(p.right, path + (1,))
+        s1, s2 = prem
         if not s1 or not s2:
             raise RuleApplicationError("with premises must be nonempty", rule="With", path=path)
         if s1[1:] != s2[1:]:
@@ -245,7 +268,7 @@ def sequent_of(p: ProofTree, path: tuple = ()) -> tuple:
     if isinstance(p, TopRule):
         return (Top(),) + tuple(p.context)
     if isinstance(p, Exchange):
-        s = sequent_of(p.premise, path + (0,))
+        (s,) = prem
         if sorted(p.perm) != list(range(len(s))):
             raise RuleApplicationError("exchange permutation is not a permutation", rule="Exchange", path=path)
         return tuple(s[t] for t in p.perm)
@@ -315,6 +338,12 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
+# Deepest nesting of parentheses the reader accepts.  Proofs and formulas
+# are checked and interpreted by recursion, one stack frame or more per
+# level, so deeper input is refused as a syntax error.
+MAX_NESTING = 256
+
+
 class _Reader:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
@@ -331,10 +360,12 @@ class _Reader:
         self.pos += 1
         return t
 
-    def read(self):
+    def read(self, depth: int = 0):
         """An atom is a _Tok; a list is (items, opening_token)."""
         t = self.next()
         if t.text == "(":
+            if depth >= MAX_NESTING:
+                raise ProofSyntaxError(f"nesting deeper than {MAX_NESTING} levels", t.line, t.col)
             items = []
             while True:
                 nxt = self.peek()
@@ -343,7 +374,7 @@ class _Reader:
                 if nxt.text == ")":
                     self.next()
                     return items, t
-                items.append(self.read())
+                items.append(self.read(depth + 1))
         if t.text == ")":
             raise ProofSyntaxError("unexpected ')'", t.line, t.col)
         return t

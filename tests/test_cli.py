@@ -3,6 +3,7 @@ import json
 import pytest
 
 from goi.cli import EXIT_CONFIG, EXIT_OK, EXIT_RULE, EXIT_SYNTAX, main
+from goi.logic.syntax import MAX_NESTING
 
 
 def write(tmp_path, name, text):
@@ -100,3 +101,34 @@ class TestVerify:
     def test_unknown_suite(self):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "bogus"])
+
+
+class TestBoundaries:
+    @pytest.mark.parametrize("tol", ["abc", "-1"])
+    @pytest.mark.parametrize("command", ["check", "interpret", "verify"])
+    def test_bad_goi_tol_is_config_error(self, tmp_path, capsys, monkeypatch, tol, command):
+        path = write(tmp_path, "p.sexp", "(ax X1)")
+        monkeypatch.setenv("GOI_TOL", tol)
+        argv = {"check": ["check", path], "interpret": ["interpret", path], "verify": ["verify", "--suite", "soundness"]}
+        assert main(argv[command]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "GOI_TOL must be a finite positive number" in err
+
+    def test_deep_nesting_is_syntax_error(self, tmp_path, capsys):
+        text = "(ax X1)"
+        for _ in range(3000):
+            text = f"(cut X1 {text} (ax X1))"
+        path = write(tmp_path, "deep.sexp", text)
+        for argv in (["check", path], ["interpret", path, "--backend", "goi1"], ["interpret", path]):
+            assert main(argv) == EXIT_SYNTAX
+            report = json.loads(capsys.readouterr().out)
+            assert report["status"] == "syntax-error" and f"deeper than {MAX_NESTING}" in report["error"]
+
+    def test_nesting_at_the_cap_is_read(self, tmp_path, capsys):
+        # n cuts nest n + 1 lists deep
+        text = "(ax X1)"
+        for _ in range(MAX_NESTING - 1):
+            text = f"(cut X1 {text} (ax X1))"
+        path = write(tmp_path, "p.sexp", text)
+        assert main(["interpret", path, "--backend", "goi1"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["cut_product_nilpotency"]["kind"] == "nilpotent"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from goi.errors import DisjointnessError, WindowError
 from goi.groupoid import (
     Idx,
+    _compose_cyl,
     PartialInjectionOp,
     Region,
     adjoint,
@@ -24,6 +25,8 @@ from goi.groupoid import (
     restrict_outside,
     sum_disjoint,
     to_dense,
+    word_apply,
+    word_unapply,
 )
 
 
@@ -99,6 +102,75 @@ class TestComposeAndSum:
     def test_unimodular_weights_enforced(self):
         with pytest.raises(ValueError):
             PartialInjectionOp({Idx(0): (Idx(1), 0.5)})
+
+
+PHASES = (1.0 + 0j, -1.0 + 0j, 1j, -1j)
+WORDS = st.text(alphabet="RL", max_size=4)
+
+
+@st.composite
+def cylinder_sets(draw, max_size=8):
+    """Unvalidated sums of random monomials on two slots: domains and ranges may overlap."""
+    monomials = draw(
+        st.lists(st.tuples(WORDS, WORDS, st.sampled_from(PHASES), st.integers(0, 1), st.integers(0, 1)), max_size=max_size)
+    )
+    cyls = [PartialInjectionOp.cylinder(*m).cyls[0] for m in monomials]
+    return PartialInjectionOp(cyls=cyls, validate=False)
+
+
+def _inside(word: str, idx: Idx, slot: int) -> bool:
+    return idx.slot == slot and word_unapply(word, idx.value) is not None
+
+
+class TestCylinderIndex:
+    @given(cylinder_sets(), cylinder_sets())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_compose_matches_all_pairs(self, u, v):
+        pairs = [_compose_cyl(cu, cv) for cu in u.cyls for cv in v.cyls]
+        want = sorted(c.key() for c in pairs if c is not None)
+        assert sorted(c.key() for c in compose(u, v).cyls) == want
+
+    @given(st.lists(st.tuples(st.integers(0, 1), WORDS), min_size=2, max_size=8))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_validate_finds_every_domain_clash(self, sides):
+        # distinct ranges, so a clash can only be between domains
+        monomials = [(f"{k:03b}".replace("0", "R").replace("1", "L"), word, 1.0, 0, slot) for k, (slot, word) in enumerate(sides)]
+        clashes = [
+            (a, b)
+            for i, a in enumerate(sides)
+            for b in sides[i + 1 :]
+            if a[0] == b[0] and (a[1].startswith(b[1]) or b[1].startswith(a[1]))
+        ]
+        if not clashes:
+            PartialInjectionOp.cylinders(monomials)
+            return
+        with pytest.raises(DisjointnessError, match="cylinder domains overlap") as exc:
+            PartialInjectionOp.cylinders(monomials)
+        witness = exc.value.index
+        assert any(_inside(a[1], witness, a[0]) and _inside(b[1], witness, b[0]) for a, b in clashes)
+
+    def test_domain_overlap_witness(self):
+        # domains LR and L overlap, with clean cylinders between them in order
+        with pytest.raises(DisjointnessError, match="cylinder domains overlap") as exc:
+            PartialInjectionOp.cylinders([("RR", "LR", 1, 0, 0), ("RL", "RR", 1, 0, 0), ("LL", "L", 1, 0, 0)])
+        assert _inside("L", exc.value.index, 0) and _inside("LR", exc.value.index, 0)
+
+    def test_range_overlap_witness(self):
+        with pytest.raises(DisjointnessError, match="cylinder ranges overlap") as exc:
+            PartialInjectionOp.cylinders([("R", "RR", 1, 2, 0), ("L", "RL", 1, 2, 0), ("RLL", "L", 1, 2, 0)])
+        assert _inside("R", exc.value.index, 2) and _inside("RLL", exc.value.index, 2)
+
+    def test_table_inside_cylinder_domain(self):
+        with pytest.raises(DisjointnessError, match="table and cylinder domains overlap"):
+            PartialInjectionOp({Idx(word_apply("LR", 5)): (Idx(1, 3), 1.0)}, cyls=PartialInjectionOp.cylinder("R", "L").cyls)
+
+    def test_equal_words_on_other_slots_do_not_clash(self):
+        u = PartialInjectionOp.cylinders([("R", "R", 1, 0, 0), ("R", "R", 1, 1, 1), ("L", "L", -1, 1, 1)])
+        assert u.apply(Idx(2, 0)) == (Idx(2, 0), 1.0 + 0j)
+        assert u.apply(Idx(3, 1)) == (Idx(3, 1), -1.0 + 0j)
+        assert u.apply(Idx(3, 0)) is None
+        range_projection = PartialInjectionOp.cylinders([("R", "R", 1, 0, 0), ("R", "R", 1, 1, 1), ("L", "L", 1, 1, 1)])
+        assert compose(u, adjoint(u)) == range_projection
 
 
 class TestOdotAndSymmetry:

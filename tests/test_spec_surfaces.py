@@ -1,7 +1,7 @@
 """Checks pinned to the remaining contract surfaces.
 
-The plug expansion oracle rebuilds the execution as the four families of
-alternating words by hand and compares term by term.
+The plug expansion oracle (tests/oracles.py) rebuilds the execution as the
+four families of alternating words by hand and compares term by term.
 """
 
 import math
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from goi.execution import plug_dialectal
-from goi.groupoid import PartialInjectionOp, compose, restrict_outside, sum_disjoint, Region
+from goi.groupoid import PartialInjectionOp
 from goi.measurement import (
     UNIT_TRACE,
     Dialect,
@@ -23,24 +23,7 @@ from goi.linalg import DenseOperator
 from goi.projects import Delocation, build_fax, make_project, plug_project, tensor_project
 from goi.measurement import sca_mat
 from conftest import hermitian_contraction
-
-
-def four_family_expansion(U, V, shared):
-    """Independent oracle: p U (VU)^k p + r (VU)^k V r + crossings."""
-    region = Region.from_locations(shared)
-    total = PartialInjectionOp.zero()
-    for first, second in ((U, V), (V, U)):
-        term = first
-        nxt = second
-        for _ in range(12):
-            if term.is_zero():
-                break
-            kept = restrict_outside(term, region)
-            if not kept.is_zero():
-                total = sum_disjoint(total, kept)
-            term = compose(nxt, term)
-            nxt = U if nxt is V else V
-    return total
+from oracles import four_family_expansion
 
 
 class TestPlugExpansionOracle:
@@ -102,6 +85,14 @@ class TestToleranceOverride:
         assert struct_tol() == 1e-9
         monkeypatch.setenv("GOI_TOL", "1e-5")
         assert struct_tol() == 1e-5
+
+    @pytest.mark.parametrize("bad", ["abc", "-1", "0", "nan", "inf"])
+    def test_goi_tol_must_be_finite_and_positive(self, monkeypatch, bad):
+        from goi.config import struct_tol
+
+        monkeypatch.setenv("GOI_TOL", bad)
+        with pytest.raises(ValueError, match="GOI_TOL must be a finite positive number"):
+            struct_tol()
 
     def test_predicates_follow_override(self, monkeypatch):
         almost = DenseOperator((0, 1), [[1.0, 0.0], [0.0, 1e-7]])
