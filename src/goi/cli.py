@@ -177,6 +177,9 @@ def cmd_interpret(args) -> int:
     except ProofSyntaxError as exc:
         _emit({"schema": SCHEMA, "command": "interpret", "status": "syntax-error", "error": str(exc)}, args.out)
         return EXIT_SYNTAX
+    except GoiError as exc:
+        print(f"config-error: bad basis: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         plan = allocate_matricial(proof, basis)
         project = interpret_mall_matricial(proof, basis, plan)

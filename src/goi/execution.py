@@ -126,9 +126,11 @@ def plug_dialectal(A: DialectalOperator, B: DialectalOperator) -> DialectalOpera
     extended product certified below 1, otherwise NotOrthogonalError
     (certified at or above 1) or IndeterminateError (straddling).
     """
-    shared = [l for l in A.carrier if l in set(B.carrier)]
-    result_carrier = tuple(l for l in A.carrier if l not in set(shared)) + tuple(
-        l for l in B.carrier if l not in set(shared)
+    b_locs = set(B.carrier)
+    shared = [l for l in A.carrier if l in b_locs]
+    shared_set = set(shared)
+    result_carrier = tuple(l for l in A.carrier if l not in shared_set) + tuple(
+        l for l in B.carrier if l not in shared_set
     )
     if A.is_symbolic and B.is_symbolic:
         Ad = dagger(A, B.dialect, B.pseudo_trace)
@@ -144,10 +146,8 @@ def plug_dialectal(A: DialectalOperator, B: DialectalOperator) -> DialectalOpera
         op = sum_disjoint(from_a.outside(region), from_b.outside(region))
         return DialectalOperator(result_carrier, Ad.dialect, Ad.pseudo_trace, op)
 
-    Ad, Bd = extended_pair(A.as_dense(), B.as_dense())
-    carrier = Ad.carrier
-    amat = Ad.dense_payload()
-    bmat = Bd.dense_payload()
+    ext = extended_pair(A, B)
+    amat, bmat = ext.a, ext.b
     prod = amat @ bmat
     if prod.dim:
         report = spectral_radius(prod)
@@ -156,10 +156,11 @@ def plug_dialectal(A: DialectalOperator, B: DialectalOperator) -> DialectalOpera
                 raise NotOrthogonalError("extended product has spectral radius >= 1")
             if report.straddles_one():
                 raise IndeterminateError("spectral certificate straddles 1")
-    dim = Ad.dialect.dim
-    shared_set = set(shared)
-    p_labels = [(l, c) for l in carrier if l in set(A.carrier) - shared_set for c in range(dim)]
-    q_labels = [(l, c) for l in carrier if l in set(B.carrier) - shared_set for c in range(dim)]
+    dim = ext.dialect.dim
+    only_a = set(A.carrier) - shared_set
+    only_b = b_locs - shared_set
+    p_labels = [(l, c) for l in ext.carrier if l in only_a for c in range(dim)]
+    q_labels = [(l, c) for l in ext.carrier if l in only_b for c in range(dim)]
     labels = amat.carrier
     p = projection_onto(labels, p_labels).mat
     q = projection_onto(labels, q_labels).mat
@@ -177,7 +178,7 @@ def plug_dialectal(A: DialectalOperator, B: DialectalOperator) -> DialectalOpera
     sym = DenseOperator(out.carrier, 0.5 * (out.mat + out.mat.conj().T))
     if out.max_abs_diff(sym) > 1e-7:
         raise NotOrthogonalError("execution result is not hermitian")
-    return DialectalOperator(result_carrier, Ad.dialect, Ad.pseudo_trace, sym)
+    return DialectalOperator(result_carrier, ext.dialect, ext.pseudo_trace, sym)
 
 
 # ----------------------------------------------------------------------
@@ -201,9 +202,8 @@ def union_dialectal(G: DialectalOperator, H: DialectalOperator) -> DialectalOper
     """Disjoint-carrier union G^dag + H^ddag with tensored dialect."""
     if set(G.carrier) & set(H.carrier):
         raise CarrierError("union requires disjoint carriers")
-    Gd, Hd = extended_pair(G.as_dense(), H.as_dense())
-    mat = Gd.dense_payload() + Hd.dense_payload()
-    return DialectalOperator(Gd.carrier, Gd.dialect, Gd.pseudo_trace, mat)
+    ext = extended_pair(G, H)
+    return DialectalOperator(ext.carrier, ext.dialect, ext.pseudo_trace, ext.a + ext.b)
 
 
 def adjunction_residual_mat(F: DialectalOperator, G: DialectalOperator, H: DialectalOperator) -> float:

@@ -94,7 +94,8 @@ class DenseOperator:
             return self.mat
         if set(carrier) != set(self.carrier):
             raise CarrierError("carriers hold different label sets")
-        perm = [self.carrier.index(l) for l in carrier]
+        pos = {l: i for i, l in enumerate(self.carrier)}
+        perm = [pos[l] for l in carrier]
         return self.mat[np.ix_(perm, perm)]
 
     def embed(self, carrier: Sequence) -> "DenseOperator":
@@ -103,13 +104,18 @@ class DenseOperator:
         if not set(self.carrier) <= set(carrier):
             raise CarrierError("embedding carrier must contain the original")
         mat = np.zeros((len(carrier), len(carrier)), dtype=np.complex128)
-        idx = [carrier.index(l) for l in self.carrier]
+        pos = {l: i for i, l in enumerate(carrier)}
+        idx = [pos[l] for l in self.carrier]
         mat[np.ix_(idx, idx)] = self.mat
         return DenseOperator(carrier, mat)
 
     def restrict(self, labels: Iterable) -> "DenseOperator":
         labels = tuple(labels)
-        idx = [self.index_of(l) for l in labels]
+        pos = {l: i for i, l in enumerate(self.carrier)}
+        try:
+            idx = [pos[l] for l in labels]
+        except KeyError as exc:
+            raise CarrierError(f"label {exc.args[0]!r} not in carrier") from None
         return DenseOperator(labels, self.mat[np.ix_(idx, idx)])
 
     # -- arithmetic sugar ----------------------------------------------

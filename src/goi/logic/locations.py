@@ -36,9 +36,7 @@ def comb_words(k: int) -> list[str]:
     """Closed right comb: R, LR, LLR, ..., L^(k-1)."""
     if k == 0:
         return []
-    if k == 1:
-        return [""]
-    return ["R"] + ["L" + w for w in comb_words(k - 1)]
+    return ["L" * i + "R" for i in range(k - 1)] + ["L" * (k - 1)]
 
 
 # ----------------------------------------------------------------------

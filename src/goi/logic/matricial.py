@@ -11,11 +11,12 @@ duals) per variable on a private primitive carrier.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CarrierError, MissingVariableError, ProofSyntaxError
+from ..errors import CarrierError, MissingVariableError, NumericError, ProofSyntaxError
 from ..projects import (
     ConductWitnessSet,
     Delocation,
@@ -73,7 +74,13 @@ class BasisEntry:
 
 
 class InterpretationBasis:
-    """Variable name -> primitive carrier plus witness families."""
+    """Variable name -> primitive carrier plus witness families.
+
+    Every witness is materialised once, here: a spec that does not give a
+    hermitian contraction with finite entries and a finite wager raises
+    CarrierError or NumericError naming the entry, before any proof is
+    interpreted against the basis.
+    """
 
     def __init__(self, entries):
         self.entries: dict[str, BasisEntry] = {}
@@ -84,6 +91,10 @@ class InterpretationBasis:
             self.entries[e.name] = e
             order.append(e.name)
         self._order = order
+        self._projects: dict[tuple[str, str], tuple[Project, ...]] = {}
+        for e in self.entries.values():
+            for group, specs in (("primal", e.primal), ("dual", e.dual)):
+                self._projects[e.name, group] = tuple(self._checked(e.name, group, k, s) for k, s in enumerate(specs))
 
     def covers(self, name: str) -> bool:
         return name in self.entries
@@ -98,7 +109,15 @@ class InterpretationBasis:
         base = -(1000 * (idx + 1))
         return tuple(base - k for k in range(self.entry(name).size))
 
+    def _checked(self, name: str, group: str, k: int, spec: WitnessSpec) -> Project:
+        try:
+            return self._materialise(name, spec)
+        except (CarrierError, NumericError) as exc:
+            raise type(exc)(f"basis entry {name}, {group} witness {k}: {exc}") from None
+
     def _materialise(self, name: str, spec: WitnessSpec) -> Project:
+        if not math.isfinite(spec.wager):
+            raise CarrierError("witness wager must be finite")
         carrier = self.primitive_carrier(name)
         n = len(carrier)
         mat = np.zeros((n, n), dtype=complex)
@@ -119,10 +138,10 @@ class InterpretationBasis:
         return make_project(carrier, spec.wager, mat)
 
     def primal_projects(self, name: str) -> list[Project]:
-        return [self._materialise(name, s) for s in self.entry(name).primal]
+        return list(self._projects[self.entry(name).name, "primal"])
 
     def dual_projects(self, name: str) -> list[Project]:
-        return [self._materialise(name, s) for s in self.entry(name).dual]
+        return list(self._projects[self.entry(name).name, "dual"])
 
 
 def default_basis() -> InterpretationBasis:
@@ -318,16 +337,28 @@ def dual_witnesses_for(site: CarrierSite, basis: InterpretationBasis, cap: int =
 
 
 def sequent_dual_witnesses(plan: MatPlan, basis: InterpretationBasis, cap: int = 3, total_cap: int = 12) -> ConductWitnessSet:
-    """Witnesses of the dual of a whole sequent: tensors over occurrences."""
+    """Witnesses of the dual of a whole sequent: tensors over occurrences.
+
+    Each member is the left fold of ``tensor_project`` over one combination
+    of per-site witnesses, combinations in ``itertools.product`` order.
+    Successive combinations share a prefix, and the fold of that prefix is
+    kept: only the sites from the first change onwards are tensored again.
+    """
     per_site = [dual_witnesses_for(site, basis, cap) for site in plan.sites]
     carrier = tuple(loc for site in plan.sites for loc in site.locations)
     if any(not w for w in per_site):
         return ConductWitnessSet(carrier, (), "dual")
     members = []
-    for combo in itertools.islice(itertools.product(*per_site), total_cap):
-        acc = combo[0]
-        for nxt in combo[1:]:
-            acc = tensor_project(acc, nxt)
+    folds: list[Project] = []  # folds[i]: the tensor of the current combination's sites 0..i
+    previous: tuple = ()
+    for combo in itertools.islice(itertools.product(*(range(len(w)) for w in per_site)), total_cap):
+        start = next((i for i, (k, j) in enumerate(zip(combo, previous)) if k != j), len(folds))
+        del folds[start:]
+        for i in range(start, len(combo)):
+            w = per_site[i][combo[i]]
+            folds.append(tensor_project(folds[-1], w) if folds else w)
+        previous = combo
+        acc = folds[-1]
         if set(acc.carrier) != set(carrier):
             acc = extend_carrier(acc, tuple(l for l in carrier if l not in set(acc.carrier)))
         members.append(acc)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -330,12 +330,63 @@ def ddagger(B: DialectalOperator, d: Dialect, alpha_left: PseudoTrace | None = N
     return DialectalOperator(B.carrier, dialect, alpha, DenseOperator(dial_labels(B.carrier, ka * kb), mat))
 
 
-def extended_pair(A: DialectalOperator, B: DialectalOperator) -> tuple[DialectalOperator, DialectalOperator]:
-    """A and B extended to the common dialect (A's left, B's right) on the union carrier."""
+class ExtendedPair(NamedTuple):
+    """A and B extended to one dialect on one carrier, as plain payloads.
+
+    ``a`` is A (x) 1 and ``b`` is 1 (x) B, both zero-extended to
+    ``dial_labels(carrier, dialect.dim)``; the dialect is A's tensored
+    with B's.  The payloads are factors of a product or a sum and are not
+    checked as dialectal operators: a result that is kept is built as a
+    ``DialectalOperator`` and checked then.
+    """
+
+    carrier: tuple
+    dialect: Dialect
+    pseudo_trace: PseudoTrace
+    a: DenseOperator
+    b: DenseOperator
+
+
+def _extend_payload(X: DialectalOperator, k_other: int, left: bool, pos: dict, n_union: int) -> np.ndarray:
+    """X's payload with the identity on a k_other-dimensional dialect, on n_union locations.
+
+    ``left`` keeps X's coordinates first (X (x) 1, as ``dagger``), else last
+    (1 (x) X, as ``ddagger``); ``pos`` places X's locations in the union carrier.
+    """
+    n, k = len(X.carrier), X.dialect.dim
+    m4 = X.dense_payload().mat.reshape(n, k, n, k)
+    eye = np.eye(k_other, dtype=complex)
+    if left:
+        ext = np.einsum("iajc,bd->iabjcd", m4, eye)
+    else:
+        ext = np.einsum("ibjd,ac->iabjcd", m4, eye)
+    K = k * k_other
+    rows = (np.array([pos[loc] for loc in X.carrier], dtype=np.intp)[:, None] * K + np.arange(K)).ravel()
+    out = np.zeros((n_union * K, n_union * K), dtype=complex)
+    out[np.ix_(rows, rows)] = ext.reshape(n * K, n * K)
+    return out
+
+
+def extended_pair(A: DialectalOperator, B: DialectalOperator) -> ExtendedPair:
+    """A and B extended to the common dialect (A's left, B's right) on the union carrier.
+
+    Equal, payload for payload, to ``dagger(A, B.dialect, B.pseudo_trace)``
+    and ``ddagger(B, A.dialect, A.pseudo_trace)`` viewed ``on_carrier`` the
+    union, without building either as a dialectal operator.
+    """
     carrier = union_carrier(A.carrier, B.carrier)
-    Ad = dagger(A, B.dialect, B.pseudo_trace).on_carrier(carrier)
-    Bd = ddagger(B, A.dialect, A.pseudo_trace).on_carrier(carrier)
-    return Ad, Bd
+    pos = {loc: i for i, loc in enumerate(carrier)}
+    dialect = A.dialect.tensor(B.dialect)
+    labels = dial_labels(carrier, dialect.dim)
+    a = _extend_payload(A, B.dialect.dim, True, pos, len(carrier))
+    b = _extend_payload(B, A.dialect.dim, False, pos, len(carrier))
+    return ExtendedPair(
+        carrier,
+        dialect,
+        A.pseudo_trace.tensor(B.pseudo_trace),
+        DenseOperator(labels, a),
+        DenseOperator(labels, b),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -343,11 +394,12 @@ def extended_pair(A: DialectalOperator, B: DialectalOperator) -> tuple[Dialectal
 
 
 def _block_log_sum(one_minus: DenseOperator, carrier, dialect: Dialect, weights: PseudoTrace, absolute: bool) -> Meas:
+    # one_minus is on dial_labels(carrier, dialect.dim): coordinate c of location i sits at i * dim + c
+    block = np.tile(np.asarray(dialect.assignment), len(carrier))
     total = 0.0
     for b, k in enumerate(dialect.blocks):
-        coords = dialect.coords_of_block(b)
-        labels = [(loc, c) for loc in carrier for c in coords]
-        sign, logabs = np.linalg.slogdet(one_minus.restrict(labels).mat)
+        idx = np.flatnonzero(block == b)
+        sign, logabs = np.linalg.slogdet(one_minus.mat[np.ix_(idx, idx)])
         if absolute:
             if sign == 0:
                 return math.inf
@@ -441,9 +493,8 @@ def meas_mat(A: DialectalOperator, B: DialectalOperator) -> Meas:
     exact = _symbolic_product_meas(A, B)
     if exact is not None:
         return exact
-    Ad, Bd = extended_pair(A.as_dense(), B.as_dense())
-    prod_mat = Ad.dense_payload() @ Bd.dense_payload()
-    return _ldet_raw(prod_mat, Ad.carrier, Ad.dialect, Ad.pseudo_trace, absolute=False)
+    ext = extended_pair(A, B)
+    return _ldet_raw(ext.a @ ext.b, ext.carrier, ext.dialect, ext.pseudo_trace, absolute=False)
 
 
 def meas_hyp(u, v, blocks=None) -> Meas:
@@ -454,10 +505,10 @@ def meas_hyp(u, v, blocks=None) -> Meas:
     the determinant is still taken in absolute value, without a gate).
     """
     if isinstance(u, DialectalOperator) or isinstance(v, DialectalOperator):
-        Ad, Bd = extended_pair(u.as_dense(), v.as_dense())
-        prod = Ad.dense_payload() @ Bd.dense_payload()
+        ext = extended_pair(u, v)
+        prod = ext.a @ ext.b
         eye = DenseOperator.identity(prod.carrier)
-        return _block_log_sum(eye - prod, Ad.carrier, Ad.dialect, Ad.pseudo_trace, absolute=True)
+        return _block_log_sum(eye - prod, ext.carrier, ext.dialect, ext.pseudo_trace, absolute=True)
     carrier = union_carrier(u.carrier, v.carrier)
     ue = u.embed(carrier)
     ve = v.embed(carrier)

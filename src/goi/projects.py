@@ -165,9 +165,8 @@ def tensor_project(a: Project, b: Project) -> Project:
         carrier = a.carrier + b.carrier
         op = sum_disjoint(Ad.op, Bd.op)
         return Project(wager, DialectalOperator(carrier, Ad.dialect, Ad.pseudo_trace, op))
-    Ad, Bd = extended_pair(A.as_dense(), B.as_dense())
-    mat = Ad.dense_payload() + Bd.dense_payload()
-    return Project(wager, DialectalOperator(Ad.carrier, Ad.dialect, Ad.pseudo_trace, mat))
+    ext = extended_pair(A, B)
+    return Project(wager, DialectalOperator(ext.carrier, ext.dialect, ext.pseudo_trace, ext.a + ext.b))
 
 
 def plug_project(f: Project, a: Project) -> Project:

@@ -64,6 +64,18 @@ class TestInterpret:
         )
         assert main(["interpret", proof, basis]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [("(scalar 2.0)", "dialectal operator must be a contraction"), ("(scalar nan)", "operator entries must be finite")],
+    )
+    def test_bad_basis_witness_is_config_error(self, tmp_path, capsys, spec, message):
+        proof = write(tmp_path, "p.sexp", "(ax X1)")
+        basis = write(tmp_path, "b.sexp", f"(basis (var X1 1 (primal (project 0.7 zero)) (dual (project 0.9 {spec}))))")
+        assert main(["interpret", proof, basis]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("config-error") and message in captured.err
+
     def test_report_written_to_file(self, tmp_path):
         proof = write(tmp_path, "p.sexp", "(ax X1)")
         out = tmp_path / "report.json"
@@ -132,3 +144,12 @@ class TestBoundaries:
         path = write(tmp_path, "p.sexp", text)
         assert main(["interpret", path, "--backend", "goi1"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["cut_product_nilpotency"]["kind"] == "nilpotent"
+
+    def test_balanced_tensor_of_1024_axioms(self, tmp_path, capsys):
+        def balanced(n):
+            return "(ax X1)" if n == 1 else f"(tensor {balanced(n // 2)} {balanced(n - n // 2)})"
+
+        path = write(tmp_path, "p.sexp", balanced(1024))
+        assert main(["interpret", path, "--backend", "goi1"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["addresses"]) == 1025 and report["cut_product_nilpotency"] is None

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
 from goi.errors import (
+    CarrierError,
     MissingVariableError,
+    NumericError,
     ProofSyntaxError,
     RuleApplicationError,
     UnsupportedRuleError,
@@ -34,6 +37,16 @@ from goi.logic.syntax import (
     sequent_of,
 )
 from goi.projects import is_promising, orthogonal_witness_suite
+
+from oracles import left_fold_dual_witnesses
+
+
+def right_tensor(k: int) -> str:
+    """Right-nested tensor of k identities over the default basis' variables."""
+    text = "(ax X1)"
+    for i in range(1, k):
+        text = f"(tensor (ax X{1 + i % 4}) {text})"
+    return text
 
 
 class TestFormulas:
@@ -247,6 +260,38 @@ class TestMatricialInterpretation:
         assert rows and all(r.verdict == "orthogonal" for r in rows)
 
 
+class TestSequentDualWitnesses:
+    """Prefix-sharing witness tensors against the full left fold."""
+
+    SEQUENTS = {
+        "tensor-2": right_tensor(2),
+        "tensor-5": right_tensor(5),
+        "tensor-9": right_tensor(9),
+        "with": "(with (ax X1) (ax X1))",
+        "plus": "(plusl (dual X2) (ax X1))",
+        "par": "(par 1 2 (tensor (ax X1) (ax X2)))",
+        "tensor-of-with": "(tensor (with (ax X1) (ax X1)) (ax X2))",
+        "tensor-of-withs": "(tensor (with (ax X3) (ax X3)) (tensor (with (ax X1) (ax X1)) (ax X2)))",
+    }
+
+    @pytest.mark.parametrize("caps", [(3, 12), (2, 40), (3, 1)])
+    @pytest.mark.parametrize("name", sorted(SEQUENTS))
+    def test_matches_left_fold(self, name, caps):
+        basis = default_basis()
+        plan = allocate_matricial(parse_proof(self.SEQUENTS[name]), basis)
+        got = sequent_dual_witnesses(plan, basis, *caps)
+        want = left_fold_dual_witnesses(plan, basis, *caps)
+        assert got.carrier == want.carrier
+        assert got.members and len(got.members) == len(want.members)
+        for g, w in zip(got.members, want.members):
+            assert g.carrier == w.carrier
+            assert g.dialect == w.dialect
+            assert g.pseudo_trace == w.pseudo_trace
+            assert g.wager == w.wager
+            gp, wp = g.dialectal.dense_payload(), w.dialectal.dense_payload()
+            assert gp.carrier == wp.carrier and np.array_equal(gp.mat, wp.mat)
+
+
 class TestBasisParsing:
     def test_roundtrip(self):
         text = """
@@ -263,3 +308,21 @@ class TestBasisParsing:
     def test_bad_basis(self):
         with pytest.raises(ProofSyntaxError):
             parse_basis("(nonsense)")
+
+    @pytest.mark.parametrize(
+        "spec,error,message",
+        [
+            ("(scalar 2.0)", CarrierError, "must be a contraction"),
+            ("(scalar nan)", NumericError, "entries must be finite"),
+            ("(swap 0.5)", CarrierError, "carrier of size 2+"),
+            ("(diag 0.1 0.2)", CarrierError, "length mismatch"),
+        ],
+    )
+    def test_bad_witness_rejected_when_parsed(self, spec, error, message):
+        text = f"(basis (var X1 1 (primal (project 0.7 zero)) (dual (project 0.9 zero) (project 0.6 {spec}))))"
+        with pytest.raises(error, match=f"basis entry X1, dual witness 1: .*{message}"):
+            parse_basis(text)
+
+    def test_non_finite_wager_rejected(self):
+        with pytest.raises(CarrierError, match="wager must be finite"):
+            parse_basis("(basis (var X1 1 (primal (project inf zero)) (dual)))")

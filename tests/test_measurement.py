@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from goi.errors import CarrierError
-from goi.groupoid import PartialInjectionOp
-from goi.linalg import DenseOperator
+from goi.groupoid import Idx, PartialInjectionOp
+from goi.linalg import DenseOperator, union_carrier
 from goi.measurement import (
     Dialect,
     DialectIso,
@@ -16,6 +16,7 @@ from goi.measurement import (
     dagger,
     ddagger,
     dial_labels,
+    extended_pair,
     from_location_matrix,
     is_indeterminate,
     ldet,
@@ -109,6 +110,64 @@ class TestDaggers:
         # trivial dialects: extension is the plain location product
         direct = A.dense_payload() @ B.dense_payload()
         assert np.allclose(prod.mat, direct.mat)
+
+
+def random_dialectal(rng, carrier, dialect, symbolic):
+    """A hermitian contraction in the dialect algebra, with positive weights."""
+    alpha = PseudoTrace(tuple(rng.uniform(0.2, 1.5, size=len(dialect.blocks))))
+    if symbolic:
+        points = [Idx(loc, c) for loc in carrier for c in range(dialect.dim)]
+        table = {}
+        for b in range(len(dialect.blocks)):
+            free = [pt for pt in points if dialect.assignment[pt.slot] == b]
+            free = [free[i] for i in rng.permutation(len(free))]
+            for x, y in zip(free[0::2], free[1::2]):
+                w = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
+                table[x] = (y, w)
+                table[y] = (x, w.conjugate())
+        return DialectalOperator(carrier, dialect, alpha, PartialInjectionOp(table))
+    labels = dial_labels(carrier, dialect.dim)
+    block = np.tile(np.asarray(dialect.assignment), len(carrier))
+    mat = np.zeros((len(labels), len(labels)), dtype=complex)
+    for b in range(len(dialect.blocks)):
+        idx = np.flatnonzero(block == b)
+        mat[np.ix_(idx, idx)] = hermitian_contraction(rng, len(idx))
+    return DialectalOperator(carrier, dialect, alpha, DenseOperator(labels, mat))
+
+
+class TestExtendedPair:
+    """The frame against dagger/ddagger viewed on the union carrier."""
+
+    DIALECTS = {
+        "one-block": (Dialect((1,)), Dialect((2,))),
+        "two-blocks-interleaved": (Dialect((2,)).tensor(Dialect((1, 1))), Dialect((1, 2))),
+        "three-blocks": (Dialect((2, 1, 1)), Dialect((1, 1, 2))),
+    }
+    CARRIERS = {
+        "disjoint": ((0, 1, 2), (3, 4)),
+        "overlapping": ((0, 1, 2), (2, 5, 1)),
+        "equal": ((0, 1, 2), (2, 0, 1)),
+    }
+
+    @pytest.mark.parametrize("carriers", sorted(CARRIERS))
+    @pytest.mark.parametrize("dialects", sorted(DIALECTS))
+    @pytest.mark.parametrize("kinds", ["dense-dense", "dense-symbolic", "symbolic-dense", "symbolic-symbolic"])
+    def test_matches_dagger_ddagger(self, rng, kinds, dialects, carriers):
+        kind_a, kind_b = kinds.split("-")
+        (da, db), (ca, cb) = self.DIALECTS[dialects], self.CARRIERS[carriers]
+        A = random_dialectal(rng, ca, da, kind_a == "symbolic")
+        B = random_dialectal(rng, cb, db, kind_b == "symbolic")
+        carrier = union_carrier(A.carrier, B.carrier)
+        Ad = dagger(A, B.dialect, B.pseudo_trace).on_carrier(carrier)
+        Bd = ddagger(B, A.dialect, A.pseudo_trace).on_carrier(carrier)
+        ext = extended_pair(A, B)
+        assert ext.carrier == Ad.carrier == Bd.carrier == carrier
+        assert ext.dialect == Ad.dialect == Bd.dialect
+        assert ext.pseudo_trace == Ad.pseudo_trace == Bd.pseudo_trace
+        for got, want in ((ext.a, Ad.dense_payload()), (ext.b, Bd.dense_payload())):
+            assert got.carrier == want.carrier == dial_labels(carrier, ext.dialect.dim)
+            assert np.array_equal(got.mat, want.mat)
+        assert np.any(ext.a.mat) and np.any(ext.b.mat)
 
 
 class TestDialectalChecks:
