@@ -59,7 +59,6 @@ from .measurement import (  # noqa: F401
     meas_hyp,
     meas_mat,
     orthogonal_hyp,
-    orthogonal_mat,
     pseudo_trace_eval,
     sca_hyp,
     sca_mat,

@@ -197,7 +197,8 @@ def cmd_interpret(args) -> int:
         "schema": SCHEMA,
         "command": "interpret",
         "backend": "matricial",
-        "status": "ok",
+        # no witness was measured: nothing was tested, so nothing passed
+        "status": "ok" if rows else "vacuous",
         "sequent": [fmt(f) for f in sequent],
         "carrier": list(project.carrier),
         "wager": project.wager,
@@ -216,7 +217,7 @@ def cmd_interpret(args) -> int:
         ],
     }
     _emit(report, args.out)
-    all_orth = all(r.verdict == "orthogonal" for r in rows)
+    all_orth = bool(rows) and all(r.verdict == "orthogonal" for r in rows)
     return EXIT_OK if report_p.all_pass and all_orth else EXIT_PROPERTY
 
 

@@ -1,13 +1,19 @@
 """Solutions of the feedback equation.
 
-Three faces of the same operation:
+Two faces of the same operation, each step of it done by one routine:
 
 * ``ex_goi1``: exact alternating-path summation for partial injections,
   defined whenever the product of the two operators is nilpotent;
-* ``feedback_dense``: the resolvent form (p + p''v)(1 - uv)^-1(up + p'')
-  for dense contractions, defined whenever 1 - uv is invertible;
-* ``plug_dialectal``: the dialect-extended execution of two hermitian
-  contractions, gated by a certified spectral radius below 1.
+* ``_resolvent``: the dense form (px + py y)(1 - xy)^-1 (x px + py) on
+  the kept coordinates, one solve, defined whenever 1 - xy is
+  invertible.  ``feedback_dense`` calls it on two contractions as
+  (u, v, p, p''), the dense plug on the extended pair as (B, A, q, p);
+* ``plug_measured``: the dialect-extended execution of two hermitian
+  contractions together with its measurement, in one pass: one
+  extension of the pair, one certificate (the alternating paths of two
+  symbolic payloads, or the spectral gate of the dense product), then
+  the blockwise log-determinant and the resolvent.  ``plug_dialectal``
+  and ``projects.plug_project`` read it.
 """
 
 from __future__ import annotations
@@ -26,15 +32,17 @@ from .errors import (
     NotOrthogonalError,
 )
 from .groupoid import PartialInjectionOp, PathGraph, Region, sum_disjoint
-from .linalg import DenseOperator, operator_norm, projection_onto, spectral_radius, union_carrier
+from .linalg import DenseOperator, operator_norm, union_carrier
 from .measurement import (
     DialectalOperator,
-    dagger,
-    ddagger,
+    Meas,
+    _block_log_sum,
+    dial_labels,
     extended_pair,
     is_indeterminate,
     meas_hyp,
     meas_mat,
+    spectral_gate,
 )
 
 
@@ -82,6 +90,30 @@ def ex_goi1(u: PartialInjectionOp, v: PartialInjectionOp, cut_region=None) -> Pa
 # Dense feedback
 
 
+def _resolvent(x: np.ndarray, y: np.ndarray, px: np.ndarray, py: np.ndarray, one_minus: np.ndarray | None = None) -> np.ndarray:
+    """(px + py y)(1 - xy)^-1 (x px + py) on the coordinates that px or py keeps.
+
+    ``px`` and ``py`` are boolean masks of kept coordinates, which may
+    overlap; ``one_minus`` is 1 - xy when the caller has formed it.  One
+    solve against the kept columns of the right factor.  Raises
+    FeedbackSingularError when LAPACK finds 1 - xy singular or the solve's
+    residual |(1 - xy)Z - R| exceeds 1e-6.
+    """
+    if one_minus is None:
+        one_minus = np.eye(len(x), dtype=complex) - x @ y
+    kept = np.flatnonzero(px | py)
+    right = x[:, kept] * px[kept]
+    right[kept, np.arange(kept.size)] += py[kept]
+    try:
+        z = np.linalg.solve(one_minus, right)
+    except np.linalg.LinAlgError as exc:
+        raise FeedbackSingularError("1 - xy is singular") from exc
+    resid = float(np.max(np.abs(one_minus @ z - right), initial=0.0))
+    if resid > 1e-6:
+        raise FeedbackSingularError(f"1 - xy is numerically singular (residual {resid:.2e})")
+    return px[kept, None] * z[kept] + py[kept, None] * (y[kept] @ z)
+
+
 def feedback_dense(u: DenseOperator, v: DenseOperator, split: InterfaceSplit) -> DenseOperator:
     """(p + p''v)(1 - uv)^-1(up + p'') restricted to the kept carrier.
 
@@ -92,93 +124,75 @@ def feedback_dense(u: DenseOperator, v: DenseOperator, split: InterfaceSplit) ->
     if operator_norm(u) > 1.0 + NORM_SLACK or operator_norm(v) > 1.0 + NORM_SLACK:
         raise CarrierError("feedback operands must be contractions")
     carrier = union_carrier(u.carrier, v.carrier)
-    ue = u.embed(carrier).mat
-    ve = v.embed(carrier).mat
-    kept_u = [l for l in carrier if l in set(u.carrier) and l not in split.cut]
-    kept_v = [l for l in carrier if l in set(v.carrier) and l not in split.cut]
-    p = projection_onto(carrier, kept_u).mat
-    ppp = projection_onto(carrier, kept_v).mat
-    n = len(carrier)
-    one_minus = np.eye(n, dtype=complex) - ue @ ve
-    try:
-        inv = np.linalg.solve(one_minus, np.eye(n, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise FeedbackSingularError("1 - uv is singular") from exc
-    resid = float(np.max(np.abs(one_minus @ inv - np.eye(n))))
-    if resid > 1e-6:
-        raise FeedbackSingularError(f"1 - uv is numerically singular (residual {resid:.2e})")
-    w = (p + ppp @ ve) @ inv @ (ue @ p + ppp)
-    kept_all = [l for l in carrier if l not in split.cut and (l in set(u.carrier) or l in set(v.carrier))]
-    full = DenseOperator(tuple(carrier), w)
-    return full.restrict(kept_all)
+    kept = np.array([l not in split.cut for l in carrier], dtype=bool)
+    in_u, in_v = set(u.carrier), set(v.carrier)
+    p = kept & np.array([l in in_u for l in carrier], dtype=bool)
+    ppp = kept & np.array([l in in_v for l in carrier], dtype=bool)
+    w = _resolvent(u.embed(carrier).mat, v.embed(carrier).mat, p, ppp)
+    return DenseOperator(tuple(l for l, k in zip(carrier, kept) if k), w)
 
 
 # ----------------------------------------------------------------------
 # Dialectal execution
 
 
-def plug_dialectal(A: DialectalOperator, B: DialectalOperator) -> DialectalOperator:
-    """Execution A . B over the shared carrier, dialects tensored.
+def plug_measured(A: DialectalOperator, B: DialectalOperator) -> tuple[Meas, DialectalOperator]:
+    """``meas_mat(A, B)`` and the execution A . B, from one extension of the pair.
 
-    With no shared carrier this degenerates to the union A^dag + B^ddag.
-    Symbolic payloads are plugged exactly by alternating path summation;
-    dense payloads use the resolvent.  Gate: spectral radius of the
-    extended product certified below 1, otherwise NotOrthogonalError
-    (certified at or above 1) or IndeterminateError (straddling).
+    The execution lives on the carrier outside the shared locations, with
+    the tensored dialect; with no shared carrier it is the union
+    A^dag + B^ddag.  Two symbolic payloads are plugged exactly by
+    alternating path summation and measure 0.  Otherwise the resolvent is
+    used, and the measurement is taken from 1 - BA, whose determinant is
+    that of 1 - AB in every dialect block.  Gate: NotOrthogonalError when
+    the product is cyclic or its spectral radius is certified at or above
+    1; IndeterminateError when the path budget runs out or the
+    certificate straddles 1.
     """
-    b_locs = set(B.carrier)
-    shared = [l for l in A.carrier if l in b_locs]
-    shared_set = set(shared)
-    result_carrier = tuple(l for l in A.carrier if l not in shared_set) + tuple(
-        l for l in B.carrier if l not in shared_set
-    )
-    if A.is_symbolic and B.is_symbolic:
-        Ad = dagger(A, B.dialect, B.pseudo_trace)
-        Bd = ddagger(B, A.dialect, A.pseudo_trace)
+    ext = extended_pair(A, B)
+    a_locs = set(A.carrier)
+    shared = a_locs & set(B.carrier)
+    result_carrier = tuple(l for l in ext.carrier if l not in shared)
+    if isinstance(ext.a, PartialInjectionOp):
         # every alternating word of the two payloads: the paths that start in A and in B
-        from_a = PathGraph(Ad.op, ((Bd.op,), (Ad.op,)))
-        from_b = PathGraph(Bd.op, ((Ad.op,), (Bd.op,)))
-        for paths in (from_a, from_b):
-            res = paths.classify()
-            if not res.is_nilpotent:
-                raise NotOrthogonalError(f"product is {res.kind}")
+        from_a = PathGraph(ext.a, ((ext.b,), (ext.a,)))
+        res = from_a.classify()
+        if res.kind == "exceeded":
+            raise IndeterminateError(f"alternating paths exceed {res.budget} stages")
+        if res.kind == "cyclic":
+            raise NotOrthogonalError("product is cyclic")
+        # a path from B is one step of B followed by a path from A, so it ends too
+        from_b = PathGraph(ext.b, ((ext.a,), (ext.b,)))
         region = Region.from_locations(shared)
         op = sum_disjoint(from_a.outside(region), from_b.outside(region))
-        return DialectalOperator(result_carrier, Ad.dialect, Ad.pseudo_trace, op)
+        return 0.0, DialectalOperator(result_carrier, ext.dialect, ext.pseudo_trace, op)
 
-    ext = extended_pair(A, B)
-    amat, bmat = ext.a, ext.b
-    prod = amat @ bmat
-    if prod.dim:
-        report = spectral_radius(prod)
-        if not report.exact_zero:
-            if report.at_least_one():
-                raise NotOrthogonalError("extended product has spectral radius >= 1")
-            if report.straddles_one():
-                raise IndeterminateError("spectral certificate straddles 1")
+    prod = DenseOperator(ext.a.carrier, ext.b.mat @ ext.a.mat)
+    gate = spectral_gate(prod)
+    if is_indeterminate(gate):
+        raise IndeterminateError("spectral certificate straddles 1")
+    if gate is not None:
+        raise NotOrthogonalError("extended product has spectral radius >= 1")
+    one_minus = np.eye(prod.dim) - prod.mat
+    m = _block_log_sum(one_minus, ext.carrier, ext.dialect, ext.pseudo_trace, absolute=False)
     dim = ext.dialect.dim
-    only_a = set(A.carrier) - shared_set
-    only_b = b_locs - shared_set
-    p_labels = [(l, c) for l in ext.carrier if l in only_a for c in range(dim)]
-    q_labels = [(l, c) for l in ext.carrier if l in only_b for c in range(dim)]
-    labels = amat.carrier
-    p = projection_onto(labels, p_labels).mat
-    q = projection_onto(labels, q_labels).mat
-    n = len(labels)
-    one_minus = np.eye(n, dtype=complex) - bmat.mat @ amat.mat
+    in_a = np.repeat(np.array([l in a_locs for l in ext.carrier], dtype=bool), dim)
+    p = in_a & np.repeat(np.array([l not in shared for l in ext.carrier], dtype=bool), dim)  # A's own coordinates
+    q = ~in_a  # B's own coordinates
     try:
-        inv = np.linalg.solve(one_minus, np.eye(n, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise NotOrthogonalError("1 - BA is singular") from exc
-    w = (p @ amat.mat + q) @ inv @ (p + bmat.mat @ q)
-    full = DenseOperator(labels, w)
-    kept_labels = tuple((l, c) for l in result_carrier for c in range(dim))
-    out = full.restrict(kept_labels)
+        w = _resolvent(ext.b.mat, ext.a.mat, q, p, one_minus)
+    except FeedbackSingularError as exc:
+        raise NotOrthogonalError(f"1 - BA is singular: {exc}") from exc
     # round off the hermitian defect introduced by the solve
-    sym = DenseOperator(out.carrier, 0.5 * (out.mat + out.mat.conj().T))
-    if out.max_abs_diff(sym) > 1e-7:
+    sym = 0.5 * (w + w.conj().T)
+    if w.size and float(np.max(np.abs(w - sym))) > 1e-7:
         raise NotOrthogonalError("execution result is not hermitian")
-    return DialectalOperator(result_carrier, ext.dialect, ext.pseudo_trace, sym)
+    return m, DialectalOperator(result_carrier, ext.dialect, ext.pseudo_trace, DenseOperator(dial_labels(result_carrier, dim), sym))
+
+
+def plug_dialectal(A: DialectalOperator, B: DialectalOperator) -> DialectalOperator:
+    """Execution A . B over the shared carrier, dialects tensored: ``plug_measured(A, B)[1]``."""
+    return plug_measured(A, B)[1]
 
 
 # ----------------------------------------------------------------------
@@ -199,11 +213,12 @@ def adjunction_residual_hyp(u: DenseOperator, v: DenseOperator, w: DenseOperator
 
 
 def union_dialectal(G: DialectalOperator, H: DialectalOperator) -> DialectalOperator:
-    """Disjoint-carrier union G^dag + H^ddag with tensored dialect."""
+    """Disjoint-carrier union G^dag + H^ddag with tensored dialect; exact on two symbolic payloads."""
     if set(G.carrier) & set(H.carrier):
         raise CarrierError("union requires disjoint carriers")
     ext = extended_pair(G, H)
-    return DialectalOperator(ext.carrier, ext.dialect, ext.pseudo_trace, ext.a + ext.b)
+    op = sum_disjoint(ext.a, ext.b) if isinstance(ext.a, PartialInjectionOp) else ext.a + ext.b
+    return DialectalOperator(ext.carrier, ext.dialect, ext.pseudo_trace, op)
 
 
 def adjunction_residual_mat(F: DialectalOperator, G: DialectalOperator, H: DialectalOperator) -> float:

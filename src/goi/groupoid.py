@@ -320,13 +320,6 @@ class PartialInjectionOp:
                 return r
         return None
 
-    def domain_points(self) -> tuple[Idx, ...]:
-        """Finite part of the domain (table keys plus one sample per cylinder)."""
-        pts = list(self.table.keys())
-        for c in self.cyls:
-            pts.append(Idx(word_apply(c.in_word, 0), c.in_slot))
-        return tuple(pts)
-
     def canonical(self):
         if self.rules:
             raise ValueError("rule-backed operators have no canonical form")

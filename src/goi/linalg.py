@@ -19,14 +19,6 @@ from .errors import CarrierError, NumericError
 Label = object  # opaque totally-ordered token; ints and tuples in practice
 
 
-def _sorted_labels(labels: Iterable) -> tuple:
-    labels = list(labels)
-    try:
-        return tuple(sorted(labels))
-    except TypeError:
-        return tuple(sorted(labels, key=repr))
-
-
 @dataclass(frozen=True)
 class DenseOperator:
     """Square complex matrix indexed by an ordered carrier of labels."""
@@ -64,16 +56,6 @@ class DenseOperator:
     def diagonal(carrier: Iterable, values: Sequence[complex]) -> "DenseOperator":
         carrier = tuple(carrier)
         return DenseOperator(carrier, np.diag(np.array(values, dtype=np.complex128)))
-
-    @staticmethod
-    def from_entries(carrier: Iterable, entries: dict) -> "DenseOperator":
-        """Build from a {(row_label, col_label): value} mapping."""
-        carrier = tuple(carrier)
-        pos = {l: i for i, l in enumerate(carrier)}
-        mat = np.zeros((len(carrier), len(carrier)), dtype=np.complex128)
-        for (r, c), v in entries.items():
-            mat[pos[r], pos[c]] = v
-        return DenseOperator(carrier, mat)
 
     # -- basic structure ----------------------------------------------
 
@@ -306,8 +288,3 @@ def union_carrier(*carriers: Sequence) -> tuple:
                 have.add(l)
                 seen.append(l)
     return tuple(seen)
-
-
-def projection_onto(carrier: Sequence, labels: Iterable) -> DenseOperator:
-    labels = set(labels)
-    return DenseOperator.diagonal(carrier, [1.0 if l in labels else 0.0 for l in carrier])

@@ -166,53 +166,66 @@ def default_basis() -> InterpretationBasis:
 
 def parse_basis(text: str) -> InterpretationBasis:
     """(basis (var NAME SIZE (primal SPEC*) (dual SPEC*))*) with
-    SPEC = (project WAGER zero|(scalar S)|(swap S)|(diag V*))."""
+    SPEC = (project WAGER zero|(scalar S)|(swap S)|(diag V*)).
+
+    Any other shape, and a wager, size or value that is not a number, is
+    a ProofSyntaxError at the offending token.
+    """
     reader = _Reader(text)
     node = reader.read()
-    if _is_atom(node):
-        raise ProofSyntaxError("basis must be a list", node.line, node.col)
-    items, opener = node
-    if not items or not _is_atom(items[0]) or items[0].text != "basis":
-        raise ProofSyntaxError("expected (basis ...)", opener.line, opener.col)
+
+    def where(n) -> tuple[int, int]:
+        tok = n if _is_atom(n) else n[1]
+        return tok.line, tok.col
+
+    def items_of(n, shape: str, heads: tuple[str, ...]) -> list:
+        """The items of a list node whose first item is one of the head atoms."""
+        if _is_atom(n) or not n[0] or not _is_atom(n[0][0]) or n[0][0].text not in heads:
+            raise ProofSyntaxError(f"expected {shape}", *where(n))
+        return n[0]
+
+    def number(n, kind, what: str):
+        if _is_atom(n):
+            try:
+                return kind(n.text)
+            except ValueError:
+                pass
+        raise ProofSyntaxError(f"{what} must be a number", *where(n))
 
     def spec_of(n) -> WitnessSpec:
-        if _is_atom(n):
-            raise ProofSyntaxError("witness spec must be a list", n.line, n.col)
-        sub, op = n
-        if len(sub) != 3 or not _is_atom(sub[0]) or sub[0].text != "project":
-            raise ProofSyntaxError("expected (project WAGER OPSPEC)", op.line, op.col)
-        wager = float(sub[1].text)
+        sub = items_of(n, "(project WAGER OPSPEC)", ("project",))
+        if len(sub) != 3:
+            raise ProofSyntaxError("expected (project WAGER OPSPEC)", *where(n))
+        wager = number(sub[1], float, "witness wager")
         opspec = sub[2]
         if _is_atom(opspec):
             if opspec.text != "zero":
                 raise ProofSyntaxError(f"unknown opspec {opspec.text}", opspec.line, opspec.col)
             return WitnessSpec(wager, "zero")
-        parts, op2 = opspec
+        parts = items_of(opspec, "zero or (KIND VALUE*)", ("scalar", "swap", "diag"))
         kind = parts[0].text
-        vals = tuple(float(t.text) for t in parts[1:])
+        vals = tuple(number(t, float, "witness value") for t in parts[1:])
+        if kind != "diag" and len(vals) != 1:
+            raise ProofSyntaxError(f"({kind} S) takes one value", *where(opspec))
         return WitnessSpec(wager, kind, vals)
 
+    items = items_of(node, "(basis ...)", ("basis",))
     entries = []
     for item in items[1:]:
-        if _is_atom(item):
-            raise ProofSyntaxError("basis entry must be a list", item.line, item.col)
-        sub, op = item
-        if len(sub) < 3 or sub[0].text != "var":
-            raise ProofSyntaxError("expected (var NAME SIZE ...)", op.line, op.col)
+        sub = items_of(item, "(var NAME SIZE ...)", ("var",))
+        if len(sub) < 3 or not _is_atom(sub[1]):
+            raise ProofSyntaxError("expected (var NAME SIZE ...)", *where(item))
         name = sub[1].text
-        size = int(sub[2].text)
+        size = number(sub[2], int, "variable size")
         primal: tuple[WitnessSpec, ...] = ()
         dualw: tuple[WitnessSpec, ...] = ()
         for grp in sub[3:]:
-            g, gop = grp
-            tag = g[0].text
+            g = items_of(grp, "(primal SPEC*) or (dual SPEC*)", ("primal", "dual"))
             specs = tuple(spec_of(x) for x in g[1:])
-            if tag == "primal":
+            if g[0].text == "primal":
                 primal = specs
-            elif tag == "dual":
-                dualw = specs
             else:
-                raise ProofSyntaxError(f"unknown group {tag}", gop.line, gop.col)
+                dualw = specs
         entries.append(BasisEntry(name, size, primal, dualw))
     return InterpretationBasis(entries)
 

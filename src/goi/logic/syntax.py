@@ -153,20 +153,6 @@ ProofTree = Union[Ax, Cut, Par, TensorRule, PlusL, PlusR, With, TopRule, Exchang
 Tensor = TensorRule
 
 
-def rule_name(p: ProofTree) -> str:
-    return {
-        Ax: "Ax",
-        Cut: "Cut",
-        TensorRule: "Tensor",
-        Par: "Par",
-        PlusL: "PlusL",
-        PlusR: "PlusR",
-        With: "With",
-        TopRule: "Top",
-        Exchange: "Exchange",
-    }[type(p)]
-
-
 def premises(p: ProofTree) -> tuple:
     if isinstance(p, (Cut, TensorRule, With)):
         return (p.left, p.right)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import NORM_SLACK, struct_tol
 from .errors import CarrierError
-from .groupoid import Idx, PartialInjectionOp, compose, nilpotency
+from .groupoid import Idx, NilpotencyResult, PartialInjectionOp, PathGraph, nilpotency
 from .linalg import DenseOperator, spectral_radius, union_carrier
 
 log = logging.getLogger(__name__)
@@ -282,88 +282,83 @@ def from_location_matrix(carrier, mat, dialect: Dialect = TRIVIAL_DIALECT, alpha
 # Dialect extension (dagger / ddagger)
 
 
-def _pair_coord(a: int, b: int, dim_b: int) -> int:
-    return a * dim_b + b
+def _extend_table(op: PartialInjectionOp, k: int, k_other: int, left: bool) -> PartialInjectionOp:
+    """A table on a k-dimensional dialect with the identity on a k_other-dimensional one.
 
-
-def dagger(A: DialectalOperator, d: Dialect, beta: PseudoTrace | None = None) -> DialectalOperator:
-    """Extend by the identity on a fresh right dialect: A (x) 1."""
-    beta = beta if beta is not None else PseudoTrace((1.0,) * len(d.blocks))
-    dialect = A.dialect.tensor(d)
-    alpha = A.pseudo_trace.tensor(beta)
-    if A.is_symbolic:
-        table = {}
-        for src, (dst, w) in A.op.table.items():
-            for b in range(d.dim):
-                table[Idx(src.value, _pair_coord(src.slot, b, d.dim))] = (
-                    Idx(dst.value, _pair_coord(dst.slot, b, d.dim)),
-                    w,
-                )
-        return DialectalOperator(A.carrier, dialect, alpha, PartialInjectionOp(table))
-    ka, kb = A.dialect.dim, d.dim
-    n = len(A.carrier)
-    m4 = A.op.mat.reshape(n, ka, n, ka)
-    out = np.einsum("iajc,bd->iabjcd", m4, np.eye(kb, dtype=complex))
-    mat = out.reshape(n * ka * kb, n * ka * kb)
-    return DialectalOperator(A.carrier, dialect, alpha, DenseOperator(dial_labels(A.carrier, ka * kb), mat))
-
-
-def ddagger(B: DialectalOperator, d: Dialect, alpha_left: PseudoTrace | None = None) -> DialectalOperator:
-    """Extend by the identity on a fresh left dialect: swap of 1 (x) B."""
-    alpha_left = alpha_left if alpha_left is not None else PseudoTrace((1.0,) * len(d.blocks))
-    dialect = d.tensor(B.dialect)
-    alpha = alpha_left.tensor(B.pseudo_trace)
-    if B.is_symbolic:
-        table = {}
-        for src, (dst, w) in B.op.table.items():
-            for a in range(d.dim):
-                table[Idx(src.value, _pair_coord(a, src.slot, B.dialect.dim))] = (
-                    Idx(dst.value, _pair_coord(a, dst.slot, B.dialect.dim)),
-                    w,
-                )
-        return DialectalOperator(B.carrier, dialect, alpha, PartialInjectionOp(table))
-    ka, kb = d.dim, B.dialect.dim
-    n = len(B.carrier)
-    m4 = B.op.mat.reshape(n, kb, n, kb)
-    out = np.einsum("ibjd,ac->iabjcd", m4, np.eye(ka, dtype=complex))
-    mat = out.reshape(n * ka * kb, n * ka * kb)
-    return DialectalOperator(B.carrier, dialect, alpha, DenseOperator(dial_labels(B.carrier, ka * kb), mat))
-
-
-class ExtendedPair(NamedTuple):
-    """A and B extended to one dialect on one carrier, as plain payloads.
-
-    ``a`` is A (x) 1 and ``b`` is 1 (x) B, both zero-extended to
-    ``dial_labels(carrier, dialect.dim)``; the dialect is A's tensored
-    with B's.  The payloads are factors of a product or a sum and are not
-    checked as dialectal operators: a result that is kept is built as a
-    ``DialectalOperator`` and checked then.
+    ``left`` keeps the table's coordinate first (X (x) 1, as ``dagger``):
+    slot s becomes s * k_other + c; else last (1 (x) X, as ``ddagger``):
+    slot s becomes c * k + s.
     """
 
-    carrier: tuple
-    dialect: Dialect
-    pseudo_trace: PseudoTrace
-    a: DenseOperator
-    b: DenseOperator
+    def slot(s: int, c: int) -> int:
+        return s * k_other + c if left else c * k + s
+
+    return PartialInjectionOp(
+        {
+            Idx(src.value, slot(src.slot, c)): (Idx(dst.value, slot(dst.slot, c)), w)
+            for src, (dst, w) in op.table.items()
+            for c in range(k_other)
+        }
+    )
 
 
-def _extend_payload(X: DialectalOperator, k_other: int, left: bool, pos: dict, n_union: int) -> np.ndarray:
-    """X's payload with the identity on a k_other-dimensional dialect, on n_union locations.
-
-    ``left`` keeps X's coordinates first (X (x) 1, as ``dagger``), else last
-    (1 (x) X, as ``ddagger``); ``pos`` places X's locations in the union carrier.
-    """
-    n, k = len(X.carrier), X.dialect.dim
-    m4 = X.dense_payload().mat.reshape(n, k, n, k)
+def _extend_matrix(mat: np.ndarray, k: int, k_other: int, left: bool) -> np.ndarray:
+    """A matrix on carrier x k coordinates with the identity on k_other more, as ``_extend_table``."""
+    n = mat.shape[0] // k
+    m4 = mat.reshape(n, k, n, k)
     eye = np.eye(k_other, dtype=complex)
     if left:
         ext = np.einsum("iajc,bd->iabjcd", m4, eye)
     else:
         ext = np.einsum("ibjd,ac->iabjcd", m4, eye)
-    K = k * k_other
+    return ext.reshape(n * k * k_other, n * k * k_other)
+
+
+def _extended(X: DialectalOperator, dialect: Dialect, alpha: PseudoTrace, k_other: int, left: bool) -> DialectalOperator:
+    k = X.dialect.dim
+    if X.is_symbolic:
+        op = _extend_table(X.op, k, k_other, left)
+    else:
+        op = DenseOperator(dial_labels(X.carrier, dialect.dim), _extend_matrix(X.op.mat, k, k_other, left))
+    return DialectalOperator(X.carrier, dialect, alpha, op)
+
+
+def dagger(A: DialectalOperator, d: Dialect, beta: PseudoTrace | None = None) -> DialectalOperator:
+    """Extend by the identity on a fresh right dialect: A (x) 1."""
+    beta = beta if beta is not None else PseudoTrace((1.0,) * len(d.blocks))
+    return _extended(A, A.dialect.tensor(d), A.pseudo_trace.tensor(beta), d.dim, True)
+
+
+def ddagger(B: DialectalOperator, d: Dialect, alpha_left: PseudoTrace | None = None) -> DialectalOperator:
+    """Extend by the identity on a fresh left dialect: swap of 1 (x) B."""
+    alpha_left = alpha_left if alpha_left is not None else PseudoTrace((1.0,) * len(d.blocks))
+    return _extended(B, d.tensor(B.dialect), alpha_left.tensor(B.pseudo_trace), d.dim, False)
+
+
+class ExtendedPair(NamedTuple):
+    """A and B extended to one dialect on one carrier, as plain payloads.
+
+    ``a`` is A (x) 1 and ``b`` is 1 (x) B; the dialect is A's tensored
+    with B's.  When both payloads are symbolic they are partial
+    injections; otherwise both are DenseOperators zero-extended to
+    ``dial_labels(carrier, dialect.dim)``.  The payloads are factors of a
+    product or a sum and are not checked as dialectal operators: a result
+    that is kept is built as a ``DialectalOperator`` and checked then.
+    """
+
+    carrier: tuple
+    dialect: Dialect
+    pseudo_trace: PseudoTrace
+    a: DenseOperator | PartialInjectionOp
+    b: DenseOperator | PartialInjectionOp
+
+
+def _extend_payload(X: DialectalOperator, k_other: int, left: bool, pos: dict, n_union: int) -> np.ndarray:
+    """``_extend_matrix`` of X's dense payload, placed on n_union locations by ``pos``."""
+    K = X.dialect.dim * k_other
     rows = (np.array([pos[loc] for loc in X.carrier], dtype=np.intp)[:, None] * K + np.arange(K)).ravel()
     out = np.zeros((n_union * K, n_union * K), dtype=complex)
-    out[np.ix_(rows, rows)] = ext.reshape(n * K, n * K)
+    out[np.ix_(rows, rows)] = _extend_matrix(X.dense_payload().mat, X.dialect.dim, k_other, left)
     return out
 
 
@@ -375,31 +370,29 @@ def extended_pair(A: DialectalOperator, B: DialectalOperator) -> ExtendedPair:
     union, without building either as a dialectal operator.
     """
     carrier = union_carrier(A.carrier, B.carrier)
-    pos = {loc: i for i, loc in enumerate(carrier)}
     dialect = A.dialect.tensor(B.dialect)
+    alpha = A.pseudo_trace.tensor(B.pseudo_trace)
+    ka, kb = A.dialect.dim, B.dialect.dim
+    if A.is_symbolic and B.is_symbolic:
+        return ExtendedPair(carrier, dialect, alpha, _extend_table(A.op, ka, kb, True), _extend_table(B.op, kb, ka, False))
+    pos = {loc: i for i, loc in enumerate(carrier)}
     labels = dial_labels(carrier, dialect.dim)
-    a = _extend_payload(A, B.dialect.dim, True, pos, len(carrier))
-    b = _extend_payload(B, A.dialect.dim, False, pos, len(carrier))
-    return ExtendedPair(
-        carrier,
-        dialect,
-        A.pseudo_trace.tensor(B.pseudo_trace),
-        DenseOperator(labels, a),
-        DenseOperator(labels, b),
-    )
+    a = _extend_payload(A, kb, True, pos, len(carrier))
+    b = _extend_payload(B, ka, False, pos, len(carrier))
+    return ExtendedPair(carrier, dialect, alpha, DenseOperator(labels, a), DenseOperator(labels, b))
 
 
 # ----------------------------------------------------------------------
 # ldet and the measurements
 
 
-def _block_log_sum(one_minus: DenseOperator, carrier, dialect: Dialect, weights: PseudoTrace, absolute: bool) -> Meas:
+def _block_log_sum(one_minus: np.ndarray, carrier, dialect: Dialect, weights: PseudoTrace, absolute: bool) -> Meas:
     # one_minus is on dial_labels(carrier, dialect.dim): coordinate c of location i sits at i * dim + c
     block = np.tile(np.asarray(dialect.assignment), len(carrier))
     total = 0.0
     for b, k in enumerate(dialect.blocks):
         idx = np.flatnonzero(block == b)
-        sign, logabs = np.linalg.slogdet(one_minus.mat[np.ix_(idx, idx)])
+        sign, logabs = np.linalg.slogdet(one_minus[np.ix_(idx, idx)])
         if absolute:
             if sign == 0:
                 return math.inf
@@ -414,16 +407,30 @@ def _block_log_sum(one_minus: DenseOperator, carrier, dialect: Dialect, weights:
     return total
 
 
+def spectral_gate(prod: DenseOperator) -> Meas | None:
+    """None when the spectral radius of prod is certified below 1 (or prod is
+    zero), +inf when it is certified at or above 1, Indeterminate when the
+    certificate straddles 1."""
+    report = spectral_radius(prod)
+    if report.below_one():
+        return None
+    return math.inf if report.at_least_one() else INDETERMINATE
+
+
+def _path_gate(res: NilpotencyResult) -> Meas | None:
+    """``spectral_gate`` for a product of partial injections, from its paths:
+    nilpotent (radius 0), cyclic (radius 1) or out of path budget."""
+    if res.is_nilpotent:
+        return None
+    return math.inf if res.kind == "cyclic" else INDETERMINATE
+
+
 def _ldet_raw(mat: DenseOperator, carrier, dialect: Dialect, weights: PseudoTrace, absolute: bool) -> Meas:
-    if not absolute and mat.dim:
-        report = spectral_radius(mat)
-        if not report.exact_zero:
-            if report.at_least_one():
-                return math.inf
-            if report.straddles_one():
-                return INDETERMINATE
-    eye = DenseOperator.identity(mat.carrier)
-    return _block_log_sum(eye - mat, carrier, dialect, weights, absolute)
+    if not absolute:
+        gate = spectral_gate(mat)
+        if gate is not None:
+            return gate
+    return _block_log_sum(np.eye(mat.dim) - mat.mat, carrier, dialect, weights, absolute)
 
 
 def ldet(M: DialectalOperator, *, absolute: bool = False) -> Meas:
@@ -439,12 +446,8 @@ def ldet(M: DialectalOperator, *, absolute: bool = False) -> Meas:
     vanishes and the series is 0; a cyclic one has spectral radius 1.
     """
     if not absolute and M.is_symbolic:
-        res = nilpotency(M.op)
-        if res.kind == "nilpotent":
-            return 0.0
-        if res.kind == "cyclic":
-            return math.inf
-        return INDETERMINATE
+        gate = _path_gate(nilpotency(M.op))
+        return 0.0 if gate is None else gate
     dense = M.as_dense()
     return _ldet_raw(dense.dense_payload(), dense.carrier, dense.dialect, dense.pseudo_trace, absolute)
 
@@ -469,31 +472,18 @@ def ldet_series(M: DialectalOperator, terms: int = 60) -> float:
     return total
 
 
-def _symbolic_product_meas(A: DialectalOperator, B: DialectalOperator) -> Meas | None:
-    if not (A.is_symbolic and B.is_symbolic):
-        return None
-    Ad = dagger(A, B.dialect, B.pseudo_trace)
-    Bd = ddagger(B, A.dialect, A.pseudo_trace)
-    prod = compose(Ad.op, Bd.op)
-    res = nilpotency(prod)
-    if res.kind == "nilpotent":
-        return 0.0
-    if res.kind == "cyclic":
-        return math.inf
-    return INDETERMINATE
-
-
 def meas_mat(A: DialectalOperator, B: DialectalOperator) -> Meas:
     """ldet of 1 minus the dialect-extended product, with the spectral gate.
 
-    On two symbolic payloads the answer is exact: nilpotent products give
-    0, cyclic products give +inf (a partial-isometry product has spectral
-    radius 1 exactly when some power survives forever).
+    On two symbolic payloads the answer is exact, from the alternating
+    paths of the extended pair: nilpotent products give 0, cyclic
+    products give +inf (a partial-isometry product has spectral radius 1
+    exactly when some power survives forever).
     """
-    exact = _symbolic_product_meas(A, B)
-    if exact is not None:
-        return exact
     ext = extended_pair(A, B)
+    if isinstance(ext.a, PartialInjectionOp):
+        gate = _path_gate(PathGraph(ext.a, ((ext.b,), (ext.a,))).classify())
+        return 0.0 if gate is None else gate
     return _ldet_raw(ext.a @ ext.b, ext.carrier, ext.dialect, ext.pseudo_trace, absolute=False)
 
 
@@ -505,10 +495,9 @@ def meas_hyp(u, v, blocks=None) -> Meas:
     the determinant is still taken in absolute value, without a gate).
     """
     if isinstance(u, DialectalOperator) or isinstance(v, DialectalOperator):
-        ext = extended_pair(u, v)
+        ext = extended_pair(u.as_dense(), v)
         prod = ext.a @ ext.b
-        eye = DenseOperator.identity(prod.carrier)
-        return _block_log_sum(eye - prod, ext.carrier, ext.dialect, ext.pseudo_trace, absolute=True)
+        return _block_log_sum(np.eye(prod.dim) - prod.mat, ext.carrier, ext.dialect, ext.pseudo_trace, absolute=True)
     carrier = union_carrier(u.carrier, v.carrier)
     ue = u.embed(carrier)
     ve = v.embed(carrier)
@@ -560,10 +549,6 @@ def sca_verdict(value: Meas, tol: float | None = None) -> tuple[str, bool]:
     if abs(value) <= tol:
         return "zero", False
     return "orthogonal", abs(value) <= 10 * tol
-
-
-def orthogonal_mat(a, b, tol: float | None = None) -> bool:
-    return sca_verdict(sca_mat(a, b), tol)[0] == "orthogonal"
 
 
 def orthogonal_hyp(a, b, tol: float | None = None) -> bool:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import struct_tol
-from .errors import CarrierError, DisjointnessError, IndeterminateError
+from .errors import CarrierError, DisjointnessError
 from .groupoid import (
     Idx,
     PartialInjectionOp,
@@ -33,14 +33,11 @@ from .measurement import (
     TRIVIAL_DIALECT,
     UNIT_TRACE,
     dial_labels,
-    extended_pair,
-    is_indeterminate,
-    meas_mat,
     sca_mat,
     sca_verdict,
     zero_dialectal,
 )
-from .execution import plug_dialectal
+from .execution import plug_measured, union_dialectal
 
 
 @dataclass(frozen=True)
@@ -137,13 +134,9 @@ def deloc_project(theta: Delocation, a: Project) -> Project:
         op = PartialInjectionOp(table)
     else:
         labels = dial_labels(new_carrier, d.dialect.dim)
-        phase = {loc: theta.op.apply(Idx(loc, 0))[1] for loc in a.carrier}
-        old = d.dense_payload()
-        mat = np.zeros_like(old.mat)
-        for i, (li, ci) in enumerate(old.carrier):
-            for j, (lj, cj) in enumerate(old.carrier):
-                mat[i, j] = phase[li] * old.mat[i, j] * phase[lj].conjugate()
-        op = DenseOperator(labels, mat)
+        # the payload's labels are location-major: one phase per location, repeated over its coordinates
+        phase = np.repeat([theta.op.apply(Idx(loc, 0))[1] for loc in a.carrier], d.dialect.dim)
+        op = DenseOperator(labels, phase[:, None] * d.dense_payload().mat * phase.conj()[None, :])
     return Project(a.wager, DialectalOperator(new_carrier, d.dialect, d.pseudo_trace, op))
 
 
@@ -156,26 +149,14 @@ def tensor_project(a: Project, b: Project) -> Project:
     if set(a.carrier) & set(b.carrier):
         raise CarrierError("tensor requires disjoint carriers")
     wager = a.wager * b.pseudo_trace.unit() + a.pseudo_trace.unit() * b.wager
-    A, B = a.dialectal, b.dialectal
-    if A.is_symbolic and B.is_symbolic:
-        from .measurement import dagger, ddagger
-
-        Ad = dagger(A, B.dialect, B.pseudo_trace)
-        Bd = ddagger(B, A.dialect, A.pseudo_trace)
-        carrier = a.carrier + b.carrier
-        op = sum_disjoint(Ad.op, Bd.op)
-        return Project(wager, DialectalOperator(carrier, Ad.dialect, Ad.pseudo_trace, op))
-    ext = extended_pair(A, B)
-    return Project(wager, DialectalOperator(ext.carrier, ext.dialect, ext.pseudo_trace, ext.a + ext.b))
+    return Project(wager, union_dialectal(a.dialectal, b.dialectal))
 
 
 def plug_project(f: Project, a: Project) -> Project:
-    """Execution of two projects: wagers flow, measurement added."""
-    m = meas_mat(f.dialectal, a.dialectal)
-    if is_indeterminate(m):
-        raise IndeterminateError("measurement of the plugged pair is indeterminate")
+    """Execution of two projects: wagers flow, measurement added (``plug_measured``)."""
+    m, plugged = plug_measured(f.dialectal, a.dialectal)
     wager = f.wager * a.pseudo_trace.unit() + a.wager * f.pseudo_trace.unit() + m
-    return Project(wager, plug_dialectal(f.dialectal, a.dialectal))
+    return Project(wager, plugged)
 
 
 def sum_lambda(a: Project, lam: float, b: Project) -> Project:
@@ -193,17 +174,15 @@ def sum_lambda(a: Project, lam: float, b: Project) -> Project:
             table[Idx(src.value, src.slot + shift)] = (Idx(dst.value, dst.slot + shift), w)
         op = PartialInjectionOp(table)
         return Project(a.wager + lam * b.wager, DialectalOperator(carrier, dialect, alpha, op))
-    Am = A.as_dense().dense_payload()
-    Bm = B.as_dense().dense_payload()
+    Am = A.dense_payload()
+    Bm = B.dense_payload()
     labels = dial_labels(carrier, dialect.dim)
     mat = np.zeros((len(labels), len(labels)), dtype=complex)
     posn = {lab: i for i, lab in enumerate(labels)}
-    for i, (li, ci) in enumerate(Am.carrier):
-        for j, (lj, cj) in enumerate(Am.carrier):
-            mat[posn[(li, ci)], posn[(lj, cj)]] = Am.mat[i, j]
-    for i, (li, ci) in enumerate(Bm.carrier):
-        for j, (lj, cj) in enumerate(Bm.carrier):
-            mat[posn[(li, ci + shift)], posn[(lj, cj + shift)]] = Bm.mat[i, j]
+    rows_a = [posn[lab] for lab in Am.carrier]
+    rows_b = [posn[(l, c + shift)] for l, c in Bm.carrier]
+    mat[np.ix_(rows_a, rows_a)] = Am.mat
+    mat[np.ix_(rows_b, rows_b)] = Bm.mat
     op = DenseOperator(labels, mat)
     return Project(a.wager + lam * b.wager, DialectalOperator(carrier, dialect, alpha, op))
 
@@ -377,14 +356,9 @@ def is_promising(a: Project, tol: float | None = None) -> PromisingReport:
     else:
         op = d.dense_payload()
         symmetry_ok = _dense_partial_symmetry(op, max(tol, 1e-7))
-        traces_ok = True
-        for i, (li, _) in enumerate(op.carrier):
-            for j, (lj, _) in enumerate(op.carrier):
-                if li == lj and abs(op.mat[i, j]) > tol:
-                    traces_ok = False
-                    break
-            if not traces_ok:
-                break
+        # labels are location-major, dialect.dim coordinates per location
+        loc = np.arange(op.dim) // d.dialect.dim
+        traces_ok = not np.any(np.abs(op.mat[loc[:, None] == loc[None, :]]) > tol)
     return PromisingReport(dialect_ok, pseudo_ok, wager_ok, symmetry_ok, traces_ok, tuple(notes))
 
 

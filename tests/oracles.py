@@ -6,14 +6,35 @@ independently of the path walker in ``goi.groupoid.PathGraph`` that the
 engine uses.  ``left_fold_dual_witnesses`` folds every witness of a
 sequent from scratch, without the shared prefixes that
 ``goi.logic.matricial.sequent_dual_witnesses`` keeps.
+
+The plug is rebuilt the long way: ``reference_dagger`` and
+``reference_ddagger`` extend one payload at a time as checked dialectal
+operators, ``explicit_resolvent`` inverts 1 - xy and sandwiches the
+inverse between dense projections, ``symbolic_product_meas`` decides a
+symbolic pair by ``compose`` and ``nilpotency``, and
+``two_pass_plug_project`` measures the pair and then plugs it in a
+second, separate pass.
 """
 
 import itertools
+import math
 
-from goi.errors import NotNilpotentError
-from goi.groupoid import PartialInjectionOp, Region, compose, restrict_outside, sum_disjoint
+import numpy as np
+
+from goi.errors import FeedbackSingularError, IndeterminateError, NotNilpotentError, NotOrthogonalError
+from goi.groupoid import Idx, PartialInjectionOp, Region, compose, nilpotency, restrict_outside, sum_disjoint
+from goi.linalg import DenseOperator, spectral_radius
 from goi.logic.matricial import dual_witnesses_for
-from goi.projects import ConductWitnessSet, extend_carrier, tensor_project
+from goi.measurement import (
+    INDETERMINATE,
+    DialectalOperator,
+    PseudoTrace,
+    dial_labels,
+    extended_pair,
+    is_indeterminate,
+    meas_mat,
+)
+from goi.projects import ConductWitnessSet, Project, extend_carrier, tensor_project
 
 # Powers of uv tried before series_execution gives up.
 POWER_BUDGET = 10_000
@@ -46,14 +67,14 @@ def series_execution(u, v, region):
     return total
 
 
-def four_family_expansion(U, V, shared):
-    """Independent oracle: p U (VU)^k p + r (VU)^k V r + crossings."""
+def four_family_expansion(U, V, shared, terms=12):
+    """Independent oracle: p U (VU)^k p + r (VU)^k V r + crossings, up to ``terms`` factors."""
     region = Region.from_locations(shared)
     total = PartialInjectionOp.zero()
     for first, second in ((U, V), (V, U)):
         term = first
         nxt = second
-        for _ in range(12):
+        for _ in range(terms):
             if term.is_zero():
                 break
             kept = restrict_outside(term, region)
@@ -79,3 +100,160 @@ def left_fold_dual_witnesses(plan, basis, cap=3, total_cap=12):
             acc = extend_carrier(acc, tuple(l for l in carrier if l not in set(acc.carrier)))
         members.append(acc)
     return ConductWitnessSet(carrier, tuple(members), "dual")
+
+
+def _pair_coord(a, b, dim_b):
+    return a * dim_b + b
+
+
+def reference_dagger(A, d, beta=None):
+    """A (x) 1 on a fresh right dialect, one arrow or one einsum at a time."""
+    beta = beta if beta is not None else PseudoTrace((1.0,) * len(d.blocks))
+    dialect = A.dialect.tensor(d)
+    alpha = A.pseudo_trace.tensor(beta)
+    if A.is_symbolic:
+        table = {}
+        for src, (dst, w) in A.op.table.items():
+            for b in range(d.dim):
+                table[Idx(src.value, _pair_coord(src.slot, b, d.dim))] = (
+                    Idx(dst.value, _pair_coord(dst.slot, b, d.dim)),
+                    w,
+                )
+        return DialectalOperator(A.carrier, dialect, alpha, PartialInjectionOp(table))
+    ka, kb = A.dialect.dim, d.dim
+    n = len(A.carrier)
+    m4 = A.op.mat.reshape(n, ka, n, ka)
+    out = np.einsum("iajc,bd->iabjcd", m4, np.eye(kb, dtype=complex))
+    mat = out.reshape(n * ka * kb, n * ka * kb)
+    return DialectalOperator(A.carrier, dialect, alpha, DenseOperator(dial_labels(A.carrier, ka * kb), mat))
+
+
+def reference_ddagger(B, d, alpha_left=None):
+    """1 (x) B on a fresh left dialect, one arrow or one einsum at a time."""
+    alpha_left = alpha_left if alpha_left is not None else PseudoTrace((1.0,) * len(d.blocks))
+    dialect = d.tensor(B.dialect)
+    alpha = alpha_left.tensor(B.pseudo_trace)
+    if B.is_symbolic:
+        table = {}
+        for src, (dst, w) in B.op.table.items():
+            for a in range(d.dim):
+                table[Idx(src.value, _pair_coord(a, src.slot, B.dialect.dim))] = (
+                    Idx(dst.value, _pair_coord(a, dst.slot, B.dialect.dim)),
+                    w,
+                )
+        return DialectalOperator(B.carrier, dialect, alpha, PartialInjectionOp(table))
+    ka, kb = d.dim, B.dialect.dim
+    n = len(B.carrier)
+    m4 = B.op.mat.reshape(n, kb, n, kb)
+    out = np.einsum("ibjd,ac->iabjcd", m4, np.eye(ka, dtype=complex))
+    mat = out.reshape(n * ka * kb, n * ka * kb)
+    return DialectalOperator(B.carrier, dialect, alpha, DenseOperator(dial_labels(B.carrier, ka * kb), mat))
+
+
+def explicit_resolvent(x, y, px, py):
+    """(P + Q y)(1 - xy)^-1 (x P + Q) with the explicit inverse, P and Q the diagonal projections of the masks.
+
+    Kept coordinates are those of P or Q.  FeedbackSingularError when the
+    inverse fails or its residual |(1 - xy) inv - 1| exceeds 1e-6.
+    """
+    n = len(x)
+    p, q = np.diag(px.astype(float)), np.diag(py.astype(float))
+    one_minus = np.eye(n, dtype=complex) - x @ y
+    try:
+        inv = np.linalg.solve(one_minus, np.eye(n, dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        raise FeedbackSingularError("1 - xy is singular") from exc
+    if float(np.max(np.abs(one_minus @ inv - np.eye(n)), initial=0.0)) > 1e-6:
+        raise FeedbackSingularError("1 - xy is numerically singular")
+    w = (p + q @ y) @ inv @ (x @ p + q)
+    kept = px | py
+    return w[np.ix_(kept, kept)]
+
+
+def symbolic_product_meas(A, B):
+    """meas_mat of two symbolic payloads: the powers of compose(A (x) 1, 1 (x) B) through nilpotency."""
+    Ad = reference_dagger(A, B.dialect, B.pseudo_trace)
+    Bd = reference_ddagger(B, A.dialect, A.pseudo_trace)
+    res = nilpotency(compose(Ad.op, Bd.op))
+    if res.kind == "nilpotent":
+        return 0.0
+    if res.kind == "cyclic":
+        return math.inf
+    return INDETERMINATE
+
+
+def reference_plug_dialectal(A, B):
+    """A . B with its own gate: the four families of alternating words, or the explicit-inverse resolvent of AB."""
+    shared = [l for l in A.carrier if l in set(B.carrier)]
+    result_carrier = tuple(l for l in A.carrier if l not in shared) + tuple(l for l in B.carrier if l not in shared)
+    if A.is_symbolic and B.is_symbolic:
+        Ad = reference_dagger(A, B.dialect, B.pseudo_trace)
+        Bd = reference_ddagger(B, A.dialect, A.pseudo_trace)
+        if not nilpotency(compose(Ad.op, Bd.op)).is_nilpotent:
+            raise NotOrthogonalError("product is not nilpotent")
+        # an alternating path visits each point at most once per operator
+        terms = 2 * (len(Ad.op.table) + len(Bd.op.table)) + 2
+        op = four_family_expansion(Ad.op, Bd.op, shared, terms)
+        return DialectalOperator(result_carrier, Ad.dialect, Ad.pseudo_trace, op)
+    ext = extended_pair(A.as_dense(), B.as_dense())
+    report = spectral_radius(ext.a @ ext.b)
+    if not report.below_one():
+        if report.at_least_one():
+            raise NotOrthogonalError("extended product has spectral radius >= 1")
+        raise IndeterminateError("spectral certificate straddles 1")
+    dim = ext.dialect.dim
+    only_a = np.repeat([l in set(A.carrier) and l not in shared for l in ext.carrier], dim)
+    only_b = np.repeat([l not in set(A.carrier) for l in ext.carrier], dim)
+    try:
+        w = explicit_resolvent(ext.b.mat, ext.a.mat, only_b, only_a)
+    except FeedbackSingularError as exc:
+        raise NotOrthogonalError("1 - BA is singular") from exc
+    sym = 0.5 * (w + w.conj().T)
+    return DialectalOperator(result_carrier, ext.dialect, ext.pseudo_trace, DenseOperator(dial_labels(result_carrier, dim), sym))
+
+
+def two_pass_plug_project(f, a):
+    """plug_project as two passes: the measurement first, then a separate plug of the same pair."""
+    A, B = f.dialectal, a.dialectal
+    m = symbolic_product_meas(A, B) if A.is_symbolic and B.is_symbolic else meas_mat(A, B)
+    if is_indeterminate(m):
+        raise IndeterminateError("measurement of the plugged pair is indeterminate")
+    wager = f.wager * a.pseudo_trace.unit() + a.wager * f.pseudo_trace.unit() + m
+    return Project(wager, reference_plug_dialectal(A, B))
+
+
+def loop_deloc_payload(theta, a):
+    """The dense payload of deloc_project(theta, a), one entry at a time."""
+    phase = {loc: theta.op.apply(Idx(loc, 0))[1] for loc in a.carrier}
+    old = a.dialectal.dense_payload()
+    mat = np.zeros_like(old.mat)
+    for i, (li, _) in enumerate(old.carrier):
+        for j, (lj, _) in enumerate(old.carrier):
+            mat[i, j] = phase[li] * old.mat[i, j] * phase[lj].conjugate()
+    return mat
+
+
+def loop_sum_lambda_payload(a, b):
+    """The dense payload of sum_lambda(a, lam, b), one entry at a time; b's coordinates follow a's."""
+    carrier, shift = a.carrier, a.dialect.dim
+    Am = a.dialectal.as_dense().dense_payload()
+    Bm = b.dialectal.on_carrier(carrier).as_dense().dense_payload()
+    labels = dial_labels(carrier, a.dialect.dim + b.dialect.dim)
+    posn = {lab: i for i, lab in enumerate(labels)}
+    mat = np.zeros((len(labels), len(labels)), dtype=complex)
+    for i, (li, ci) in enumerate(Am.carrier):
+        for j, (lj, cj) in enumerate(Am.carrier):
+            mat[posn[(li, ci)], posn[(lj, cj)]] = Am.mat[i, j]
+    for i, (li, ci) in enumerate(Bm.carrier):
+        for j, (lj, cj) in enumerate(Bm.carrier):
+            mat[posn[(li, ci + shift)], posn[(lj, cj + shift)]] = Bm.mat[i, j]
+    return mat
+
+
+def loop_traces_ok(op, tol):
+    """No entry above tol between two coordinates of one location, scanned entry by entry."""
+    for i, (li, _) in enumerate(op.carrier):
+        for j, (lj, _) in enumerate(op.carrier):
+            if li == lj and abs(op.mat[i, j]) > tol:
+                return False
+    return True

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from goi.cli import EXIT_CONFIG, EXIT_OK, EXIT_RULE, EXIT_SYNTAX, main
+from goi.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, EXIT_RULE, EXIT_SYNTAX, main
 from goi.logic.syntax import MAX_NESTING
 
 
@@ -75,6 +75,34 @@ class TestInterpret:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("config-error") and message in captured.err
+
+    @pytest.mark.parametrize(
+        "basis,token",
+        [
+            ("(basis (var X1 1 (primal (project abc zero)) (dual (project 0.9 zero))))", "abc"),
+            ("(basis (var X1 abc (primal (project 0.7 zero)) (dual (project 0.9 zero))))", "abc"),
+            ("(basis (var X1 1 foo))", "foo"),
+            ("(basis (var X1 1 ()))", "()"),
+            ("(basis (var X1 1 (primal (project 0.7 zero)) (dual (project 0.9 (scalar x)))))", "x"),
+            ("(basis ((var) X1 1))", "((var)"),
+            ("(basis (var X1 1 (primal (project 0.7 zero)) (dual (project 0.9 (scalar)))))", "(scalar"),
+        ],
+    )
+    def test_malformed_basis_is_syntax_error(self, tmp_path, capsys, basis, token):
+        proof = write(tmp_path, "p.sexp", "(ax X1)")
+        path = write(tmp_path, "b.sexp", basis)
+        assert main(["interpret", proof, path]) == EXIT_SYNTAX
+        report = json.loads(capsys.readouterr().out)
+        # the error names the line and column of the offending token
+        col = basis.index(token) + 1
+        assert report["status"] == "syntax-error" and f"(line 1, column {col})" in report["error"]
+
+    def test_empty_witness_table_is_vacuous(self, tmp_path, capsys):
+        proof = write(tmp_path, "p.sexp", "(ax X1)")
+        basis = write(tmp_path, "b.sexp", "(basis (var X1 1 (primal (project 0.7 zero))))")
+        assert main(["interpret", proof, basis]) == EXIT_PROPERTY
+        report = json.loads(capsys.readouterr().out)
+        assert report["witness_table"] == [] and report["status"] == "vacuous"
 
     def test_report_written_to_file(self, tmp_path):
         proof = write(tmp_path, "p.sexp", "(ax X1)")

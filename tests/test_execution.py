@@ -5,25 +5,41 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from goi.errors import CarrierError, DisjointnessError, FeedbackSingularError, NotNilpotentError, NotOrthogonalError
+from goi.errors import (
+    CarrierError,
+    DisjointnessError,
+    FeedbackSingularError,
+    IndeterminateError,
+    NotNilpotentError,
+    NotOrthogonalError,
+)
 from goi.execution import (
     InterfaceSplit,
+    _resolvent,
     adjunction_residual_hyp,
     adjunction_residual_mat,
     associativity_residual,
     ex_goi1,
     feedback_dense,
     plug_dialectal,
+    plug_measured,
     union_dialectal,
 )
 from goi.groupoid import Idx, PartialInjectionOp, Region, compose, nilpotency
 from goi.linalg import DenseOperator, direct_sum, mat_mul, operator_norm, plain_det
 from goi.logic.goi1 import interpret_mll_goi1
 from goi.logic.syntax import Ax, Cut, DualVar, Par, TensorRule, Var, sequent_of
-from goi.measurement import Dialect, DialectalOperator, PseudoTrace, UNIT_TRACE, dial_labels, from_location_matrix
+from goi.measurement import Dialect, DialectalOperator, PseudoTrace, UNIT_TRACE, dial_labels, from_location_matrix, meas_mat
+from goi.projects import Project, plug_project
 
-from conftest import hermitian_contraction
-from oracles import four_family_expansion, series_execution
+from conftest import hermitian_contraction, random_dialectal
+from oracles import (
+    explicit_resolvent,
+    four_family_expansion,
+    series_execution,
+    symbolic_product_meas,
+    two_pass_plug_project,
+)
 
 PHASES = (1.0 + 0j, -1.0 + 0j, 1j, -1j)
 
@@ -332,6 +348,11 @@ class TestPlugDialectal:
         assert out.pseudo_trace.weights == A.pseudo_trace.tensor(B.pseudo_trace).weights
         assert set(out.carrier) == {0, 2}
 
+    def test_empty_carriers(self):
+        E = from_location_matrix((), np.zeros((0, 0)))
+        m, out = plug_measured(E, E)
+        assert m == 0.0 and out.carrier == () and out.dense_payload().dim == 0
+
     def test_spectral_gate(self):
         A = from_location_matrix((0, 1), [[0, 1], [1, 0]])
         B = from_location_matrix((0, 1), [[0, 1], [1, 0]])
@@ -438,3 +459,165 @@ class TestBlockIdentity:
             d2 = plain_det(DenseOperator.identity(ex.carrier) - mat_mul(ex, H))
             worst = max(worst, abs(lhs - d1 * d2))
         assert worst <= 1e-8
+
+
+# ----------------------------------------------------------------------
+# The merged plug against its two-pass and explicit-inverse references
+
+
+def _contraction(rng, n, scale):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return m / np.linalg.norm(m, 2) * scale
+
+
+def _rank_projection(rng, n, k):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q[:, :k] @ q[:, :k].conj().T
+
+
+@st.composite
+def masks(draw, n):
+    """Two kept masks on n coordinates: they may overlap, and either may be empty."""
+    px = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    py = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return px, py
+
+
+def _raises_or_value(fn, *args):
+    try:
+        return fn(*args)
+    except FeedbackSingularError:
+        return FeedbackSingularError
+
+
+class TestResolventAgainstExplicitInverse:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), masks(n))))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_contractions(self, seed, drawn):
+        n, (px, py) = drawn
+        rng = np.random.default_rng(seed)
+        x, y = _contraction(rng, n, 0.95), _contraction(rng, n, 0.95)
+        got, want = _resolvent(x, y, px, py), explicit_resolvent(x, y, px, py)
+        assert got.shape == want.shape == (int((px | py).sum()),) * 2
+        assert np.allclose(got, want, rtol=0, atol=1e-10)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n), masks(n))))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_singular(self, seed, drawn):
+        # u = v = a rank-k projection in a random basis: 1 - uv is exactly singular
+        n, k, (px, py) = drawn
+        assume((px | py).any())
+        u = _rank_projection(np.random.default_rng(seed), n, k)
+        got, want = _raises_or_value(_resolvent, u, u, px, py), _raises_or_value(explicit_resolvent, u, u, px, py)
+        if got is FeedbackSingularError or want is FeedbackSingularError:
+            assert got is want
+        else:
+            # the singular direction was rounded away the same way by both solves
+            assert np.allclose(got, want, rtol=1e-6, atol=1e-6)
+
+    def test_exactly_singular_without_kept_columns(self):
+        swap = np.array([[0, 1], [1, 0]], dtype=complex)
+        none = np.zeros(2, dtype=bool)
+        with pytest.raises(FeedbackSingularError):
+            _resolvent(swap, swap, none, none)
+
+    def test_overlapping_masks_count_twice(self):
+        # a coordinate kept by both masks gets both terms of each factor
+        x = np.array([[0.5]], dtype=complex)
+        y = np.array([[0.25]], dtype=complex)
+        both = np.ones(1, dtype=bool)
+        # (1 + y)(1 - xy)^-1(x + 1) = 1.25 * 1.5 / 0.875
+        assert _resolvent(x, y, both, both)[0, 0] == pytest.approx(1.25 * 1.5 / 0.875, abs=1e-15)
+
+
+DIALECTS = (Dialect((1,)), Dialect((2,)), Dialect((1, 1)), Dialect((2, 1)), Dialect((1, 2, 1)))
+CARRIER_PAIRS = (((0, 1, 2), (3, 4)), ((0, 1, 2), (2, 5, 1)), ((0, 1), (1, 0)), ((0, 1, 2, 3), (2, 3)))
+# dense: a contraction of norm below 1; unitary: a partial symmetry held as a dense payload,
+# so that products of spectral radius 1 reach the dense gate; symbolic: a partial symmetry
+KINDS = ("dense", "unitary", "symbolic")
+
+
+@st.composite
+def dialectal_pairs(draw):
+    """Two dialectal operators on 1-3-block dialects and overlapping, equal or disjoint carriers."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ca, cb = draw(st.sampled_from(CARRIER_PAIRS))
+    out = []
+    for carrier in (ca, cb):
+        kind, dialect = draw(st.sampled_from(KINDS)), draw(st.sampled_from(DIALECTS))
+        op = random_dialectal(rng, carrier, dialect, kind != "dense")
+        out.append(op.as_dense() if kind == "unitary" else op)
+    return tuple(out)
+
+
+def _plug_outcome(fn, f, a):
+    try:
+        return fn(f, a)
+    except (NotOrthogonalError, IndeterminateError) as exc:
+        return type(exc)
+
+
+class TestPlugMeasuredAgainstTwoPasses:
+    @given(dialectal_pairs(), st.floats(-1, 1), st.floats(-1, 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_plug_project(self, pair, wager_f, wager_a):
+        f, a = Project(wager_f, pair[0]), Project(wager_a, pair[1])
+        got, want = _plug_outcome(plug_project, f, a), _plug_outcome(two_pass_plug_project, f, a)
+        if not isinstance(want, Project):
+            assert got is want
+            return
+        assert isinstance(got, Project)
+        assert got.wager == pytest.approx(want.wager, rel=1e-9, abs=1e-12)
+        G, W = got.dialectal, want.dialectal
+        assert (G.carrier, G.dialect, G.pseudo_trace, G.is_symbolic) == (W.carrier, W.dialect, W.pseudo_trace, W.is_symbolic)
+        if G.is_symbolic:
+            assert G.op == W.op
+        else:
+            assert G.op.carrier == W.op.carrier
+            assert np.allclose(G.op.mat, W.op.mat, rtol=0, atol=1e-10)
+
+    @given(dialectal_pairs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_measurement_is_meas_mat(self, pair):
+        # the measurement read off 1 - BA equals meas_mat's, read off 1 - AB
+        A, B = pair
+        try:
+            m, _ = plug_measured(A, B)
+        except (NotOrthogonalError, IndeterminateError):
+            return
+        want = meas_mat(A, B)
+        assert m == want if math.isinf(want) else m == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_cyclic_symbolic_pair_is_not_orthogonal(self):
+        swap = DialectalOperator((0, 1), Dialect((1,)), UNIT_TRACE, PartialInjectionOp.from_table({0: 1, 1: 0}))
+        with pytest.raises(NotOrthogonalError):
+            plug_measured(swap, swap)
+        with pytest.raises(NotOrthogonalError):
+            two_pass_plug_project(Project(0.0, swap), Project(0.0, swap))
+
+    def test_straddling_certificate_is_indeterminate(self, monkeypatch):
+        import goi.measurement as measurement
+        from goi.linalg import SpectralReport
+
+        monkeypatch.setattr(measurement, "spectral_radius", lambda prod, tol=1e-9: SpectralReport(1.0 + 1e-9, 0.5))
+        A = from_location_matrix((0, 1), [[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(IndeterminateError):
+            plug_measured(A, A)
+
+
+class TestSymbolicMeasAgainstCompose:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(CARRIER_PAIRS), st.sampled_from(DIALECTS), st.sampled_from(DIALECTS))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_partial_symmetries(self, seed, carriers, da, db):
+        rng = np.random.default_rng(seed)
+        A = random_dialectal(rng, carriers[0], da, True)
+        B = random_dialectal(rng, carriers[1], db, True)
+        assert meas_mat(A, B) == symbolic_product_meas(A, B)
+
+    @given(tables(pool=range(4), max_size=4), tables(pool=range(2, 6), max_size=4))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_random_tables(self, u, v):
+        # one-way arrows and cycles of any length, nilpotent or cyclic
+        A = DialectalOperator((0, 1, 2, 3), Dialect((1,)), UNIT_TRACE, u)
+        B = DialectalOperator((2, 3, 4, 5), Dialect((1,)), UNIT_TRACE, v)
+        assert meas_mat(A, B) == symbolic_product_meas(A, B)

@@ -29,7 +29,8 @@ from goi.measurement import (
 )
 from goi.projects import Project, make_project
 
-from conftest import hermitian_contraction
+from conftest import hermitian_contraction, random_dialectal
+from oracles import reference_dagger, reference_ddagger
 
 SQ = math.sqrt(0.5)
 
@@ -112,29 +113,6 @@ class TestDaggers:
         assert np.allclose(prod.mat, direct.mat)
 
 
-def random_dialectal(rng, carrier, dialect, symbolic):
-    """A hermitian contraction in the dialect algebra, with positive weights."""
-    alpha = PseudoTrace(tuple(rng.uniform(0.2, 1.5, size=len(dialect.blocks))))
-    if symbolic:
-        points = [Idx(loc, c) for loc in carrier for c in range(dialect.dim)]
-        table = {}
-        for b in range(len(dialect.blocks)):
-            free = [pt for pt in points if dialect.assignment[pt.slot] == b]
-            free = [free[i] for i in rng.permutation(len(free))]
-            for x, y in zip(free[0::2], free[1::2]):
-                w = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
-                table[x] = (y, w)
-                table[y] = (x, w.conjugate())
-        return DialectalOperator(carrier, dialect, alpha, PartialInjectionOp(table))
-    labels = dial_labels(carrier, dialect.dim)
-    block = np.tile(np.asarray(dialect.assignment), len(carrier))
-    mat = np.zeros((len(labels), len(labels)), dtype=complex)
-    for b in range(len(dialect.blocks)):
-        idx = np.flatnonzero(block == b)
-        mat[np.ix_(idx, idx)] = hermitian_contraction(rng, len(idx))
-    return DialectalOperator(carrier, dialect, alpha, DenseOperator(labels, mat))
-
-
 class TestExtendedPair:
     """The frame against dagger/ddagger viewed on the union carrier."""
 
@@ -158,16 +136,34 @@ class TestExtendedPair:
         A = random_dialectal(rng, ca, da, kind_a == "symbolic")
         B = random_dialectal(rng, cb, db, kind_b == "symbolic")
         carrier = union_carrier(A.carrier, B.carrier)
-        Ad = dagger(A, B.dialect, B.pseudo_trace).on_carrier(carrier)
-        Bd = ddagger(B, A.dialect, A.pseudo_trace).on_carrier(carrier)
+        Ad = reference_dagger(A, B.dialect, B.pseudo_trace).on_carrier(carrier)
+        Bd = reference_ddagger(B, A.dialect, A.pseudo_trace).on_carrier(carrier)
         ext = extended_pair(A, B)
         assert ext.carrier == Ad.carrier == Bd.carrier == carrier
         assert ext.dialect == Ad.dialect == Bd.dialect
         assert ext.pseudo_trace == Ad.pseudo_trace == Bd.pseudo_trace
+        if kinds == "symbolic-symbolic":
+            # two symbolic payloads stay tables
+            assert ext.a.table == Ad.op.table and ext.b.table == Bd.op.table
+            assert ext.a.table and ext.b.table
+            return
         for got, want in ((ext.a, Ad.dense_payload()), (ext.b, Bd.dense_payload())):
             assert got.carrier == want.carrier == dial_labels(carrier, ext.dialect.dim)
             assert np.array_equal(got.mat, want.mat)
         assert np.any(ext.a.mat) and np.any(ext.b.mat)
+
+    @pytest.mark.parametrize("dialects", sorted(DIALECTS))
+    @pytest.mark.parametrize("kind", ["dense", "symbolic"])
+    def test_public_daggers_match_reference(self, rng, kind, dialects):
+        da, db = self.DIALECTS[dialects]
+        A = random_dialectal(rng, (0, 1, 2), da, kind == "symbolic")
+        beta = PseudoTrace((0.5,) * len(db.blocks))
+        for got, want in ((dagger(A, db, beta), reference_dagger(A, db, beta)), (ddagger(A, db), reference_ddagger(A, db))):
+            assert (got.carrier, got.dialect, got.pseudo_trace) == (want.carrier, want.dialect, want.pseudo_trace)
+            if got.is_symbolic:
+                assert want.is_symbolic and got.op.table == want.op.table
+            else:
+                assert np.array_equal(got.op.mat, want.op.mat) and got.op.carrier == want.op.carrier
 
 
 class TestDialectalChecks:

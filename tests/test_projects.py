@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from goi.config import struct_tol
 from goi.errors import CarrierError
 from goi.groupoid import Idx, PartialInjectionOp
 from goi.linalg import DenseOperator
@@ -32,7 +35,8 @@ from goi.projects import (
     zero_project,
 )
 
-from conftest import hermitian_contraction
+from conftest import hermitian_contraction, random_dialectal
+from oracles import loop_deloc_payload, loop_sum_lambda_payload, loop_traces_ok
 
 
 def fax_on(prim, a, b):
@@ -270,3 +274,54 @@ class TestDelocation:
         t = make_project((0, 1), 0.7, hermitian_contraction(rng, 2, 0.5))
         th = Delocation.from_pairs([0, 1], [20, 21])
         assert sca_mat(deloc_project(th, a), deloc_project(th, t)) == pytest.approx(sca_mat(a, t), abs=1e-12)
+
+
+DIALECTS = (Dialect((1,)), Dialect((2,)), Dialect((1, 1)), Dialect((2, 1)), Dialect((1, 2, 1)))
+# the phases a delocation carries: products of the unit phases of from_pairs and their adjoints
+GROUP_PHASES = (1.0, -1.0, 1j, -1j)
+
+
+class TestIndexArraysAgainstLoops:
+    """Payloads built by index arrays, entry for entry equal to the loops they replace."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(DIALECTS), st.integers(1, 4), st.lists(st.sampled_from(GROUP_PHASES), min_size=4, max_size=4))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_deloc_project(self, seed, dialect, n, phases):
+        a = Project(0.3, random_dialectal(np.random.default_rng(seed), tuple(range(n)), dialect, False))
+        theta = Delocation.from_pairs(range(n), range(10, 10 + n), phases[:n])
+        assert np.array_equal(deloc_project(theta, a).dialectal.op.mat, loop_deloc_payload(theta, a))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_deloc_project_any_phase(self, seed, n):
+        # a phase off the unit group may round differently in the last bit in a vectorised product
+        rng = np.random.default_rng(seed)
+        a = Project(0.3, random_dialectal(rng, tuple(range(n)), Dialect((1, 2)), False))
+        theta = Delocation.from_pairs(range(n), range(10, 10 + n), list(np.exp(1j * rng.uniform(0, 2 * np.pi, n))))
+        assert np.allclose(deloc_project(theta, a).dialectal.op.mat, loop_deloc_payload(theta, a), rtol=0, atol=1e-15)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(DIALECTS),
+        st.sampled_from(DIALECTS),
+        st.sampled_from(("dense", "symbolic")),
+        st.sampled_from((((0, 1, 2), (0, 1, 2)), ((0, 1, 2), (2, 0, 1)), ((0, 1), (1, 0)))),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_sum_lambda(self, seed, da, db, kind_b, carriers):
+        rng = np.random.default_rng(seed)
+        a = Project(0.1, random_dialectal(rng, carriers[0], da, False))
+        b = Project(0.2, random_dialectal(rng, carriers[1], db, kind_b == "symbolic"))
+        assert np.array_equal(sum_lambda(a, 0.5, b).dialectal.op.mat, loop_sum_lambda_payload(a, b))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(DIALECTS), st.integers(1, 4), st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_traces_ok(self, seed, dialect, n, sparsity):
+        # zero out entries at random so that both verdicts occur
+        rng = np.random.default_rng(seed)
+        d = random_dialectal(rng, tuple(range(n)), dialect, False)
+        keep = np.triu(rng.uniform(size=d.op.mat.shape) < sparsity)
+        mat = d.op.mat * (keep | keep.T)
+        op = DenseOperator(d.op.carrier, mat / max(1.0, np.linalg.norm(mat, 2)))
+        p = Project(0.0, DialectalOperator(d.carrier, d.dialect, d.pseudo_trace, op))
+        assert is_promising(p).traces_ok == loop_traces_ok(op, struct_tol())
