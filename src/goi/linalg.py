@@ -149,12 +149,16 @@ class SpectralReport:
 
     ``spectral_radius`` is a rigorous upper bound (Gelfand, Frobenius
     norm of repeated squares); ``lower_bound`` comes from trace powers.
+    ``decided_by`` says why the squaring stopped: "upper" (below 1),
+    "lower" (at least 1), "zero", "converged" or "cap" (60 squarings).
     """
 
     spectral_radius: float
     lower_bound: float
     exact_zero: bool = False
     note: str = ""
+    squarings: int = 0
+    decided_by: str = "converged"
 
     def below_one(self) -> bool:
         return self.exact_zero or self.spectral_radius < 1.0
@@ -182,13 +186,22 @@ def operator_norm(a: DenseOperator) -> float:
     return float(np.linalg.norm(a.mat, 2))
 
 
-def spectral_radius(a: DenseOperator, tol: float = 1e-9) -> SpectralReport:
-    """Gelfand estimate by repeated squaring with certified bounds."""
+def spectral_radius(a: DenseOperator, tol: float = 1e-9, gate: bool = False) -> SpectralReport:
+    """Gelfand estimate by repeated squaring with certified bounds.
+
+    By default the squaring runs until the upper bound converges to
+    ``tol`` relative.  With ``gate=True`` it stops at the decision: once
+    the upper bound is below 1, the lower bound is at least 1 - 1e-12, or
+    a power vanishes.  If the upper bound converges while the bounds still
+    straddle 1, it is frozen and the squaring goes on, up to 60, for the
+    trace-power lower bound alone; that certifies a radius of exactly 1
+    (cycles of partial symmetries), and never yields a new "below 1".
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = a.dim
     if n == 0 or not np.any(a.mat):
-        return SpectralReport(0.0, 0.0, exact_zero=True, note="zero operator")
+        return SpectralReport(0.0, 0.0, exact_zero=True, note="zero operator", decided_by="zero")
 
     b = np.array(a.mat)
     log_norm = 0.0  # log of the scale factor pulled out of b
@@ -196,28 +209,33 @@ def spectral_radius(a: DenseOperator, tol: float = 1e-9) -> SpectralReport:
     upper = float(np.linalg.norm(b))  # Frobenius bound at power 1
     lower = abs(np.trace(b)) / n
     note = ""
-    for _ in range(60):
+    squarings, converged = 0, False
+    while squarings < 60 and not (gate and (upper < 1.0 or lower >= 1.0 - 1e-12)):
         b2 = b @ b
         fro = float(np.linalg.norm(b2))
         power *= 2
+        squarings += 1
         if fro == 0.0:
-            return SpectralReport(0.0, 0.0, exact_zero=True, note="nilpotent: some power vanishes")
+            return SpectralReport(0.0, 0.0, exact_zero=True, note="nilpotent: some power vanishes", squarings=squarings, decided_by="zero")
         log_norm = 2.0 * log_norm + math.log(fro)
         b = b2 / fro
         cand = math.exp(log_norm / power) * (1.0 + 1e-13)
         tr_b = abs(np.trace(b))
         if tr_b > 0:
             lower = max(lower, math.exp((math.log(tr_b) + log_norm - math.log(n)) / power))
-        if cand < upper:
-            if upper - cand <= tol * max(cand, 1e-300) and power >= 16:
-                upper = cand
-                break
+        if cand < upper and not converged:
+            converged = upper - cand <= tol * max(cand, 1e-300) and power >= 16
             upper = cand
-    if lower > upper:
-        lower = upper
+            if converged and not gate:
+                break
+    if gate:
+        decided_by = "upper" if upper < 1.0 else "lower" if lower >= 1.0 - 1e-12 else "cap"
+    else:
+        decided_by = "converged" if converged else "cap"
+    lower = min(lower, upper)
     if 0.999 <= upper and lower <= 1.001 and not (upper < 1.0 or lower >= 1.0 - 1e-12):
         note = "bounds straddle 1"
-    return SpectralReport(upper, lower, note=note)
+    return SpectralReport(upper, lower, note=note, squarings=squarings, decided_by=decided_by)
 
 
 def plain_det(a: DenseOperator) -> complex:

@@ -411,7 +411,7 @@ def spectral_gate(prod: DenseOperator) -> Meas | None:
     """None when the spectral radius of prod is certified below 1 (or prod is
     zero), +inf when it is certified at or above 1, Indeterminate when the
     certificate straddles 1."""
-    report = spectral_radius(prod)
+    report = spectral_radius(prod, gate=True)
     if report.below_one():
         return None
     return math.inf if report.at_least_one() else INDETERMINATE

@@ -196,7 +196,7 @@ def reference_plug_dialectal(A, B):
         op = four_family_expansion(Ad.op, Bd.op, shared, terms)
         return DialectalOperator(result_carrier, Ad.dialect, Ad.pseudo_trace, op)
     ext = extended_pair(A.as_dense(), B.as_dense())
-    report = spectral_radius(ext.a @ ext.b)
+    report = spectral_radius(ext.a @ ext.b, gate=True)
     if not report.below_one():
         if report.at_least_one():
             raise NotOrthogonalError("extended product has spectral radius >= 1")

@@ -599,10 +599,30 @@ class TestPlugMeasuredAgainstTwoPasses:
         import goi.measurement as measurement
         from goi.linalg import SpectralReport
 
-        monkeypatch.setattr(measurement, "spectral_radius", lambda prod, tol=1e-9: SpectralReport(1.0 + 1e-9, 0.5))
+        monkeypatch.setattr(measurement, "spectral_radius", lambda prod, tol=1e-9, gate=False: SpectralReport(1.0 + 1e-9, 0.5))
         A = from_location_matrix((0, 1), [[0.0, 0.5], [0.5, 0.0]])
         with pytest.raises(IndeterminateError):
             plug_measured(A, A)
+
+
+class TestDenseViewsOfPartialSymmetries:
+    def test_cyclic_products_are_certified_at_least_one(self):
+        # a cyclic product of partial symmetries has spectral radius exactly 1:
+        # the dense gate must say +inf / not orthogonal, as the tables do
+        cyclic = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            A = random_dialectal(rng, (0, 1, 2), Dialect((2,)), True)
+            B = random_dialectal(rng, (2, 1, 5), Dialect((2,)), True)
+            want, got = meas_mat(A, B), meas_mat(A.as_dense(), B.as_dense())
+            if math.isinf(want):
+                cyclic += 1
+                assert got == want
+                with pytest.raises(NotOrthogonalError):
+                    plug_measured(A.as_dense(), B.as_dense())
+            else:
+                assert got == pytest.approx(want, abs=1e-9)
+        assert cyclic == 101
 
 
 class TestSymbolicMeasAgainstCompose:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goi.errors import CarrierError
 from goi.linalg import (
     DenseOperator,
+    SpectralReport,
     adjoint,
     direct_sum,
     fk_det,
@@ -147,6 +150,81 @@ class TestSpectralRadius:
         a = DenseOperator(tuple(range(4)), rng.normal(size=(4, 4)))
         rep = spectral_radius(a)
         assert rep.spectral_radius <= operator_norm(a) + 1e-6
+
+
+def verdict(rep):
+    return "below" if rep.below_one() else "at least 1" if rep.at_least_one() else "straddles"
+
+
+def fixed_spectrum(seed, n, radius, hermitian, top):
+    """Q diag(spectrum) Q* for a random unitary Q: ``top`` eigenvalues of modulus ``radius``, the rest inside."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    if hermitian:
+        phases = rng.choice([-1.0, 1.0], size=n)
+    else:
+        phases = np.exp(2j * np.pi * rng.uniform(size=n))
+    moduli = np.concatenate([np.full(top, radius), radius * rng.uniform(0.0, 0.99, size=n - top)])
+    return DenseOperator(tuple(range(n)), q @ np.diag(phases * moduli) @ q.conj().T)
+
+
+class TestSpectralGate:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.sampled_from((0.5, 0.999, 1.0, 1.001, 2.0)),
+        st.booleans(),
+        st.integers(1, 2),
+    )
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_gate_agrees_with_converged_verdict(self, seed, n, radius, hermitian, top):
+        a = fixed_spectrum(seed, n, radius, hermitian, top)
+        full, gated = spectral_radius(a), spectral_radius(a, gate=True)
+        if verdict(full) == "straddles":
+            assert verdict(gated) in ("at least 1", "straddles")
+        else:
+            assert verdict(gated) == verdict(full)
+        if verdict(gated) == "straddles":
+            assert (gated.squarings, gated.decided_by) == (60, "cap")
+        else:
+            assert gated.decided_by == ("upper" if gated.below_one() else "lower")
+        assert gated.squarings <= 60 and full.decided_by in ("converged", "cap")
+
+    def test_frobenius_below_one_decides_before_squaring(self):
+        rep = spectral_radius(DenseOperator.diagonal((0, 1), [0.5, 0.25]), gate=True)
+        assert rep.below_one() and (rep.squarings, rep.decided_by) == (0, "upper")
+
+    def test_vanishing_power_decides(self):
+        j = DenseOperator((0, 1, 2), [[0, 2, 0], [0, 0, 2], [0, 0, 0]])
+        rep = spectral_radius(j, gate=True)
+        assert rep.exact_zero and (rep.squarings, rep.decided_by) == (2, "zero")
+
+    def test_unit_radius_is_certified_at_least_one(self):
+        # converged bounds straddle 1; the lower-bound phase decides
+        m = DenseOperator.diagonal(tuple(range(4)), [1.0, -1.0, 1j, 0.3])
+        assert spectral_radius(m).straddles_one()
+        rep = spectral_radius(m, gate=True)
+        assert rep.at_least_one() and rep.decided_by == "lower" and rep.squarings < 60
+
+    def test_straddling_certificate_runs_every_squaring(self):
+        m = DenseOperator.diagonal(tuple(range(4)), [1.0 - 1e-11] * 4)
+        full, gated = spectral_radius(m), spectral_radius(m, gate=True)
+        assert full.straddles_one() and full.decided_by == "converged" and full.squarings < 60
+        assert gated.straddles_one() and (gated.squarings, gated.decided_by) == (60, "cap")
+        assert gated.spectral_radius == full.spectral_radius
+
+    @pytest.mark.parametrize("n", [64, 160, 320])
+    def test_default_call_converges_on_large_contractions(self, rng, n):
+        a = hermitian_contraction(rng, n)
+        rho = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+        rep = spectral_radius(DenseOperator(tuple(range(n)), a))
+        assert rep.decided_by == "converged"
+        assert rho * (1 - 1e-9) <= rep.spectral_radius <= rho * (1 + 1e-6)
+        assert rep.lower_bound <= rho * (1 + 1e-9)
+
+    def test_report_defaults(self):
+        rep = SpectralReport(1.0 + 1e-9, 0.5)
+        assert (rep.squarings, rep.decided_by) == (0, "converged") and rep.straddles_one()
 
 
 class TestDeterminants:
