@@ -227,6 +227,9 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
+    statuses = {r.status for r in records}
+    # a check short of instances violated nothing: only a failed record makes the suite fail
+    status = "fail" if "fail" in statuses else "indeterminate" if "indeterminate" in statuses else "pass"
     report = {
         "schema": SCHEMA,
         "command": "verify",
@@ -234,10 +237,10 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "trials": args.trials,
         "checks": _records_to_json(records),
-        "status": "pass" if all(r.ok for r in records) else "fail",
+        "status": status,
     }
     _emit(report, args.out)
-    return EXIT_OK if all(r.ok for r in records) else EXIT_PROPERTY
+    return EXIT_OK if status == "pass" else EXIT_PROPERTY
 
 
 def build_parser() -> argparse.ArgumentParser:

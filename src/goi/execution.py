@@ -218,7 +218,8 @@ def union_dialectal(G: DialectalOperator, H: DialectalOperator) -> DialectalOper
         raise CarrierError("union requires disjoint carriers")
     ext = extended_pair(G, H)
     op = sum_disjoint(ext.a, ext.b) if isinstance(ext.a, PartialInjectionOp) else ext.a + ext.b
-    return DialectalOperator(ext.carrier, ext.dialect, ext.pseudo_trace, op)
+    make = DialectalOperator._built if G.is_symbolic == H.is_symbolic else DialectalOperator
+    return make(ext.carrier, ext.dialect, ext.pseudo_trace, op)
 
 
 def adjunction_residual_mat(F: DialectalOperator, G: DialectalOperator, H: DialectalOperator) -> float:

@@ -10,6 +10,7 @@ duals) per variable on a private primitive carrier.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -148,8 +149,15 @@ def default_basis() -> InterpretationBasis:
     """Deterministic desk-scale basis: positive wagers, small operators.
 
     Every primal/dual pairing measures to a value comfortably away from
-    0 and finite, so generated witness products stay admissible.
+    0 and finite, so generated witness products stay admissible.  Built
+    and checked once per process: its projects are frozen, their arrays
+    read-only, and ``primal_projects``/``dual_projects`` return fresh lists.
     """
+    return _default_basis()
+
+
+@functools.cache
+def _default_basis() -> InterpretationBasis:
     specs = []
     for name, size in (("X1", 1), ("X2", 1), ("X3", 2), ("X4", 1)):
         primal = (

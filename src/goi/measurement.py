@@ -182,6 +182,11 @@ class DialectalOperator:
     or an exact partial injection whose indices are (location, coordinate)
     pairs.  Entries across distinct dialect blocks must vanish: the
     operator lives in the direct-sum algebra.
+
+    The constructor checks this where an operator enters the engine: from
+    outside input, at the plug and at first densification (a table is not
+    checked for self-adjointness).  Tensors, delocations, zero extensions
+    and superpositions hold it by construction and are built unchecked.
     """
 
     carrier: tuple
@@ -203,6 +208,14 @@ class DialectalOperator:
             self._check_symbolic(self.op)
         else:
             raise TypeError("payload must be DenseOperator or PartialInjectionOp")
+
+    @classmethod
+    def _built(cls, carrier: tuple, dialect: Dialect, pseudo_trace: PseudoTrace, op) -> "DialectalOperator":
+        """An operator that the algebra built from checked ones, with the payload kind of its inputs."""
+        self = object.__new__(cls)
+        for name, value in (("carrier", carrier), ("dialect", dialect), ("pseudo_trace", pseudo_trace), ("op", op)):
+            object.__setattr__(self, name, value)
+        return self
 
     def _check_dense(self, op: DenseOperator):
         tol = struct_tol()
@@ -253,15 +266,12 @@ class DialectalOperator:
     def on_carrier(self, carrier) -> "DialectalOperator":
         """Same operator viewed on a larger carrier (zero extension)."""
         carrier = tuple(carrier)
-        if set(self.carrier) == set(carrier) and not self.is_symbolic:
-            if self.carrier == carrier:
-                return self
+        if self.carrier == carrier:
+            return self
         if not set(self.carrier) <= set(carrier):
             raise CarrierError("cannot shrink a carrier by zero extension")
-        if self.is_symbolic:
-            return DialectalOperator(carrier, self.dialect, self.pseudo_trace, self.op)
-        labels = dial_labels(carrier, self.dialect.dim)
-        return DialectalOperator(carrier, self.dialect, self.pseudo_trace, self.dense_payload().embed(labels))
+        op = self.op if self.is_symbolic else self.op.embed(dial_labels(carrier, self.dialect.dim))
+        return DialectalOperator._built(carrier, self.dialect, self.pseudo_trace, op)
 
 
 def zero_dialectal(carrier, dialect: Dialect = TRIVIAL_DIALECT, alpha: PseudoTrace = UNIT_TRACE) -> DialectalOperator:

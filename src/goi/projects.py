@@ -137,7 +137,7 @@ def deloc_project(theta: Delocation, a: Project) -> Project:
         # the payload's labels are location-major: one phase per location, repeated over its coordinates
         phase = np.repeat([theta.op.apply(Idx(loc, 0))[1] for loc in a.carrier], d.dialect.dim)
         op = DenseOperator(labels, phase[:, None] * d.dense_payload().mat * phase.conj()[None, :])
-    return Project(a.wager, DialectalOperator(new_carrier, d.dialect, d.pseudo_trace, op))
+    return Project(a.wager, DialectalOperator._built(new_carrier, d.dialect, d.pseudo_trace, op))
 
 
 # ----------------------------------------------------------------------
@@ -166,14 +166,14 @@ def sum_lambda(a: Project, lam: float, b: Project) -> Project:
     carrier = a.carrier
     dialect = a.dialect.oplus(b.dialect)
     alpha = a.pseudo_trace.oplus(b.pseudo_trace.scale(lam))
-    A, B = a.dialectal, b.dialectal.on_carrier(carrier) if b.carrier != carrier else b.dialectal
+    A, B = a.dialectal, b.dialectal.on_carrier(carrier)
     shift = a.dialect.dim
     if A.is_symbolic and B.is_symbolic:
         table = dict(A.op.table)
         for src, (dst, w) in B.op.table.items():
             table[Idx(src.value, src.slot + shift)] = (Idx(dst.value, dst.slot + shift), w)
         op = PartialInjectionOp(table)
-        return Project(a.wager + lam * b.wager, DialectalOperator(carrier, dialect, alpha, op))
+        return Project(a.wager + lam * b.wager, DialectalOperator._built(carrier, dialect, alpha, op))
     Am = A.dense_payload()
     Bm = B.dense_payload()
     labels = dial_labels(carrier, dialect.dim)
@@ -184,7 +184,8 @@ def sum_lambda(a: Project, lam: float, b: Project) -> Project:
     mat[np.ix_(rows_a, rows_a)] = Am.mat
     mat[np.ix_(rows_b, rows_b)] = Bm.mat
     op = DenseOperator(labels, mat)
-    return Project(a.wager + lam * b.wager, DialectalOperator(carrier, dialect, alpha, op))
+    make = DialectalOperator._built if A.is_symbolic == B.is_symbolic else DialectalOperator
+    return Project(a.wager + lam * b.wager, make(carrier, dialect, alpha, op))
 
 
 def extend_carrier(a: Project, extra) -> Project:
@@ -214,7 +215,7 @@ def scale_project(lam: float, a: Project) -> Project:
     """Pseudo-trace scaling: every measurement against it scales by lambda."""
     if lam == 0:
         raise ValueError("scaling weight must be nonzero")
-    return Project(lam * a.wager, DialectalOperator(a.carrier, a.dialect, a.pseudo_trace.scale(lam), a.op))
+    return Project(lam * a.wager, DialectalOperator._built(a.carrier, a.dialect, a.pseudo_trace.scale(lam), a.op))
 
 
 # ----------------------------------------------------------------------

@@ -265,11 +265,13 @@ def check_ldet_lemmas(seed: int, trials: int) -> CheckRecord:
     rng = _rng(seed, 7)
     # nilpotent symbolic operators measure exactly to zero
     exact = True
+    n_nil = 0
     for t in range(50):
         u = rand_partial_injection(rng)
         res = nilpotency(u)
         if res.kind != "nilpotent":
             continue
+        n_nil += 1
         carrier = sorted({i.value for i in u.table} | {d.value for d, _ in u.table.values()})
         M = DialectalOperator(tuple(carrier), Dialect((1,)), UNIT_TRACE, u)
         if ldet(M) != 0.0:
@@ -297,19 +299,23 @@ def check_ldet_lemmas(seed: int, trials: int) -> CheckRecord:
     sym_exact = ldet(Mb) == ldet(M1) + ldet(M2) == 0.0
     # dialect inflation
     worst_inf = 0.0
+    n_inf = 0
     for t in range(10):
         m = from_location_matrix((0, 1), rand_hermitian(rng, 2, 0.7))
         lifted = dagger(m, Dialect((3,)), PseudoTrace((1.7,)))
         a, b = ldet(lifted), ldet(m)
         if not (is_indeterminate(a) or is_indeterminate(b)) and not math.isinf(b):
             worst_inf = max(worst_inf, abs(a - 1.7 * b))
+            n_inf += 1
     # determinant route vs truncated series whenever rho <= 0.9
     worst_series = 0.0
+    n_series = 0
     for t in range(10):
         m = from_location_matrix((0, 1, 2), rand_hermitian(rng, 3, 0.75))
         rho = spectral_radius(m.dense_payload()).spectral_radius
         if rho > 0.9:
             continue
+        n_series += 1
         terms = max(60, int(math.log(1e-12) / math.log(max(rho, 1e-6))) + 1)
         a = ldet(m)
         b = ldet_series(m, terms=terms)
@@ -324,8 +330,12 @@ def check_ldet_lemmas(seed: int, trials: int) -> CheckRecord:
             "commuting_additivity": worst_sum,
             "dialect_inflation": worst_inf,
             "series_vs_det": worst_series,
+            "nilpotent_instances": n_nil,
+            "inflation_instances": n_inf,
+            "series_instances": n_series,
         },
         f"seed={seed}",
+        short=min(n_nil, n_inf, n_series) == 0,
     )
 
 
@@ -594,12 +604,14 @@ def check_variant_laws(seed: int, trials: int) -> CheckRecord:
     # inflation: passing the witness suite is stable under adding lambda * 0
     basis = default_basis()
     inflation_ok = True
+    n_inflation = 0
     for name, proof in list(corpus.mall_proofs())[:4]:
         plan = allocate_matricial(proof, basis)
         f = interpret_mall_matricial(proof, basis, plan)
         witnesses = sequent_dual_witnesses(plan, basis)
         if not witnesses.members:
             continue
+        n_inflation += 1
         for lam in (1.0, 2.5):
             inflated = sum_lambda(f, lam, zero_project(tuple(f.carrier)))
             rows = orthogonal_witness_suite(inflated, witnesses)
@@ -615,8 +627,10 @@ def check_variant_laws(seed: int, trials: int) -> CheckRecord:
             "tensor_law_residual": worst_tensor,
             "tensor_associativity": assoc,
             "inflation_stable": inflation_ok,
+            "inflation_instances": n_inflation,
         },
         f"seed={seed}",
+        short=n_inflation == 0,
     )
 
 

@@ -326,3 +326,16 @@ class TestBasisParsing:
     def test_non_finite_wager_rejected(self):
         with pytest.raises(CarrierError, match="wager must be finite"):
             parse_basis("(basis (var X1 1 (primal (project inf zero)) (dual)))")
+
+
+class TestDefaultBasis:
+    def test_built_once_per_process(self):
+        basis = default_basis()
+        assert default_basis() is basis
+        for name in basis.entries:
+            for p in basis.primal_projects(name) + basis.dual_projects(name):
+                assert p.dialectal.op.mat.flags.writeable is False
+        before = basis.dual_projects("X1")
+        basis.dual_projects("X1").clear()
+        after = default_basis().dual_projects("X1")
+        assert len(after) == len(before) == 2 and all(a is b for a, b in zip(after, before))

@@ -325,3 +325,68 @@ class TestIndexArraysAgainstLoops:
         op = DenseOperator(d.op.carrier, mat / max(1.0, np.linalg.norm(mat, 2)))
         p = Project(0.0, DialectalOperator(d.carrier, d.dialect, d.pseudo_trace, op))
         assert is_promising(p).traces_ok == loop_traces_ok(op, struct_tol())
+
+
+# dialects with a block of size 2 or more, where a wrong index could mix coordinates of one location
+WIDE_DIALECTS = (Dialect((2,)), Dialect((2, 1)), Dialect((1, 2, 1)))
+KIND = st.sampled_from((False, True))  # symbolic payload?
+
+
+def checked(p: Project) -> DialectalOperator:
+    """The result rebuilt through the checking constructor."""
+    d = p.dialectal
+    return DialectalOperator(d.carrier, d.dialect, d.pseudo_trace, d.op)
+
+
+def unimodular(rng, n):
+    return list(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+
+
+class TestInvariantsByConstruction:
+    """Results the algebra builds unchecked pass the constructor's checks."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(WIDE_DIALECTS), st.sampled_from(WIDE_DIALECTS), KIND, KIND)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_tensor_project(self, seed, da, db, sym_a, sym_b):
+        rng = np.random.default_rng(seed)
+        a = Project(0.1, random_dialectal(rng, (0, 1), da, sym_a))
+        b = Project(0.2, random_dialectal(rng, (2, 3, 4), db, sym_b))
+        checked(tensor_project(a, b))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(WIDE_DIALECTS), KIND)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_deloc_extend_scale(self, seed, dialect, sym):
+        rng = np.random.default_rng(seed)
+        a = Project(0.3, random_dialectal(rng, (0, 1, 2), dialect, sym))
+        theta = Delocation.from_pairs((0, 1, 2), (12, 10, 11), unimodular(rng, 3))
+        checked(deloc_project(theta, a))
+        checked(extend_carrier(a, (5, 6)))
+        checked(scale_project(rng.uniform(0.1, 3.0) * rng.choice((-1.0, 1.0)), a))
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(WIDE_DIALECTS),
+        st.sampled_from(WIDE_DIALECTS),
+        KIND,
+        KIND,
+        st.sampled_from((-2.0, -0.5, 0.5, 1.0, 2.5)),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_sum_lambda_and_with_bar(self, seed, da, db, sym_a, sym_b, lam):
+        rng = np.random.default_rng(seed)
+        a = Project(0.1, random_dialectal(rng, (0, 1, 2), da, sym_a))
+        b = Project(0.2, random_dialectal(rng, (2, 0, 1), db, sym_b))
+        checked(sum_lambda(a, lam, b))
+        theta1 = Delocation.from_pairs((0, 1, 2), (10, 11, 12), unimodular(rng, 3))
+        theta2 = Delocation.from_pairs((0, 1, 2), (10, 11, 13), unimodular(rng, 3))
+        checked(with_bar(a, b, theta1, theta2))
+
+    def test_first_densification_checks_a_table(self):
+        # a table is not checked for self-adjointness: one arrow is accepted until it is densified
+        arrow = DialectalOperator((0, 1), Dialect((1,)), PseudoTrace((1.0,)), PartialInjectionOp.from_table({0: 1}))
+        with pytest.raises(CarrierError, match="hermitian"):
+            arrow.as_dense()
+        with pytest.raises(CarrierError, match="hermitian"):
+            tensor_project(Project(0.0, arrow), zero_project((2, 3)))
+        with pytest.raises(CarrierError, match="hermitian"):
+            sum_lambda(Project(0.0, arrow), 1.0, zero_project((0, 1)))

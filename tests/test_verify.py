@@ -4,6 +4,7 @@ import pytest
 from goi import verify
 from goi.config import DEFAULT_SEED
 from goi.errors import GoiError
+from goi.groupoid import Idx, PartialInjectionOp
 
 
 class SingularRng:
@@ -58,3 +59,18 @@ def test_default_seed_draws_no_rejected_adjunction():
     for check in (verify.check_adjunction_hyp, verify.check_adjunction_mat):
         rec = check(DEFAULT_SEED, 100)
         assert rec.ok and rec.data["instances"] == rec.data["drawn"] == 100
+
+
+def test_ldet_lemmas_without_nilpotent_draws_is_not_a_pass(monkeypatch):
+    cyclic = PartialInjectionOp({Idx(0): (Idx(1), 1.0), Idx(1): (Idx(0), 1.0)})
+    monkeypatch.setattr(verify, "rand_partial_injection", lambda rng: cyclic)
+    rec = verify.check_ldet_lemmas(DEFAULT_SEED, 100)
+    assert rec.status == "indeterminate" and rec.data["nilpotent_instances"] == 0
+
+
+def test_default_seed_sub_checks_have_instances():
+    rec = verify.check_ldet_lemmas(DEFAULT_SEED, 100)
+    assert rec.ok
+    assert (rec.data["nilpotent_instances"], rec.data["inflation_instances"], rec.data["series_instances"]) == (35, 10, 10)
+    rec = verify.check_variant_laws(DEFAULT_SEED, 100)
+    assert rec.ok and rec.data["inflation_instances"] == 4
