@@ -26,12 +26,9 @@ from .groupoid import (  # noqa: F401
     Region,
     adjoint,
     axiom_swap,
-    bang,
     beta_decode,
     beta_encode,
     compose,
-    gamma_assoc,
-    internal_tensor,
     is_partial_symmetry,
     l_isometry,
     nilpotency,

@@ -6,15 +6,13 @@ operator is a partial isometry that normalises the diagonal algebra: its
 source and range projections are diagonal and conjugation maps diagonal
 projections to diagonal projections.
 
-Three branch kinds cover everything the engine needs:
+Two branch kinds cover everything the engine needs:
 
 * finite tables (explicit arrows),
 * dyadic cylinder maps ``n |-> out(n)`` for ``n |-> in(n)`` where ``out``
   and ``in`` are words over the two isometries R: n -> 2n, L: n -> 2n+1
   (these are the address-word monomials; products and adjoints stay in
-  the class, so equality is decidable),
-* named computable rules with computable partial inverses (the codec
-  operators: replication, internal tensor, associativity).
+  the class, so equality is decidable).
 
 Indices are (value, slot) pairs; the slot tags an independent copy of
 the basis (dialect coordinate, or a private region for a cut).
@@ -178,39 +176,22 @@ class _Cyl:
         return (self.in_slot, self.in_word, self.out_slot, self.out_word, self.weight.real, self.weight.imag)
 
 
-@dataclass(frozen=True)
-class _Rule:
-    """Named computable injection with a computable partial inverse."""
-
-    name: str
-    fwd: Callable[[Idx], tuple[Idx, complex] | None]
-    bwd: Callable[[Idx], tuple[Idx, complex] | None]
-
-    def adjoint(self) -> "_Rule":
-        def fwd(idx, _b=self.bwd):
-            r = _b(idx)
-            return None if r is None else (r[0], r[1].conjugate())
-
-        def bwd(idx, _f=self.fwd):
-            r = _f(idx)
-            return None if r is None else (r[0], r[1].conjugate())
-
-        return _Rule(f"{self.name}*", fwd, bwd)
-
-
 class PartialInjectionOp:
-    """Weighted partial injection: finite table + cylinder monomials + rules."""
+    """Weighted partial injection: finite table + cylinder monomials."""
 
-    __slots__ = ("table", "cyls", "rules", "_index")
+    __slots__ = ("table", "cyls", "_index")
 
-    def __init__(self, table=None, cyls=(), rules=(), validate: bool = True):
+    # Always empty: no branch kind beyond tables and cylinders.  Kept because the
+    # mll-cut-chains benchmark check still reads ``op.rules``.
+    rules = ()
+
+    def __init__(self, table=None, cyls=(), validate: bool = True):
         tol = struct_tol()
         tbl: dict[Idx, tuple[Idx, complex]] = {}
         for src, (dst, w) in (table or {}).items():
             tbl[as_idx(src)] = (as_idx(dst), _check_unimodular(w, tol))
         self.table = tbl
         self.cyls = tuple(cyls)
-        self.rules = tuple(rules)
         self._index = None
         for c in self.cyls:
             _check_unimodular(c.weight, tol)
@@ -251,10 +232,6 @@ class PartialInjectionOp:
     def identity_on(indices: Iterable) -> "PartialInjectionOp":
         return PartialInjectionOp({as_idx(i): (as_idx(i), 1.0 + 0j) for i in indices})
 
-    @staticmethod
-    def rule(name: str, fwd, bwd) -> "PartialInjectionOp":
-        return PartialInjectionOp(rules=(_Rule(name, fwd, bwd),))
-
     # -- invariants ------------------------------------------------------
 
     def _validate(self):
@@ -282,15 +259,11 @@ class PartialInjectionOp:
 
     # -- queries ---------------------------------------------------------
 
-    @property
-    def has_rules(self) -> bool:
-        return bool(self.rules)
-
     def is_zero(self) -> bool:
-        return not self.table and not self.cyls and not self.rules
+        return not self.table and not self.cyls
 
     def is_finite(self) -> bool:
-        return not self.cyls and not self.rules
+        return not self.cyls
 
     def apply(self, idx) -> tuple[Idx, complex] | None:
         idx = as_idx(idx)
@@ -300,29 +273,9 @@ class PartialInjectionOp:
         if self.cyls:
             for c in self.index().ins.at(idx):
                 return c.apply(idx)
-        for rl in self.rules:
-            r = rl.fwd(idx)
-            if r is not None:
-                return r
-        return None
-
-    def unapply(self, idx) -> tuple[Idx, complex] | None:
-        idx = as_idx(idx)
-        for src, (dst, w) in self.table.items():
-            if dst == idx:
-                return src, w
-        if self.cyls:
-            for c in self.index().outs.at(idx):
-                return c.unapply(idx)
-        for rl in self.rules:
-            r = rl.bwd(idx)
-            if r is not None:
-                return r
         return None
 
     def canonical(self):
-        if self.rules:
-            raise ValueError("rule-backed operators have no canonical form")
         cyls = _merge_cylinders(self.cyls)
         table = tuple(sorted(((s, d, w) for s, (d, w) in self.table.items())))
         return (table, tuple(sorted(c.key() for c in cyls)))
@@ -330,13 +283,9 @@ class PartialInjectionOp:
     def __eq__(self, other):
         if not isinstance(other, PartialInjectionOp):
             return NotImplemented
-        if self.rules or other.rules:
-            return self is other
         return self.canonical() == other.canonical()
 
     def __hash__(self):
-        if self.rules:
-            return id(self)
         return hash(self.canonical())
 
     def __repr__(self):
@@ -345,8 +294,6 @@ class PartialInjectionOp:
             bits.append(f"{len(self.table)} arrows")
         for c in self.cyls:
             bits.append(f"[{c.out_word or 'e'}@{c.out_slot}<-{c.in_word or 'e'}@{c.in_slot}]")
-        for r in self.rules:
-            bits.append(r.name)
         return f"PartialInjectionOp({', '.join(bits) or '0'})"
 
 
@@ -416,7 +363,7 @@ def l_isometry() -> PartialInjectionOp:
 
 def adjoint(u: PartialInjectionOp) -> PartialInjectionOp:
     table = {dst: (src, w.conjugate()) for src, (dst, w) in u.table.items()}
-    return PartialInjectionOp(table, tuple(c.adjoint() for c in u.cyls), tuple(r.adjoint() for r in u.rules), validate=False)
+    return PartialInjectionOp(table, tuple(c.adjoint() for c in u.cyls), validate=False)
 
 
 def _compose_cyl(u: _Cyl, v: _Cyl) -> _Cyl | None:
@@ -438,24 +385,18 @@ def compose(u: PartialInjectionOp, v: PartialInjectionOp) -> PartialInjectionOp:
     """Operator product u v (v acts first)."""
     table: dict[Idx, tuple[Idx, complex]] = {}
     cyls: list[_Cyl] = []
-    rules: list[_Rule] = []
 
     # v's finite arrows through all of u
     for src, (mid, w) in v.table.items():
         hit = u.apply(mid)
         if hit is not None:
             table[src] = (hit[0], w * hit[1])
-    # u's finite arrows pulled back through v's infinite parts
+    # u's finite arrows pulled back through v's cylinders
     if u.table and v.cyls:
         outs = v.index().outs
         for mid, (dst, w) in u.table.items():
             for c in outs.at(mid):
                 r = c.unapply(mid)
-                table[r[0]] = (dst, w * r[1])
-    for mid, (dst, w) in u.table.items():
-        for rl in v.rules:
-            r = rl.bwd(mid)
-            if r is not None:
                 table[r[0]] = (dst, w * r[1])
     # cylinder algebra: each cylinder of v meets only the cylinders of u whose domain word
     # prefixes or extends its range word
@@ -464,39 +405,7 @@ def compose(u: PartialInjectionOp, v: PartialInjectionOp) -> PartialInjectionOp:
         for cv in v.cyls:
             for cu in ins.covering(cv.out_slot, cv.out_word) + ins.within(cv.out_slot, cv.out_word):
                 cyls.append(_compose_cyl(cu, cv))
-
-    # products touching a rule stay lazy
-    def lazy(name: str, left: "PartialInjectionOp", right: "PartialInjectionOp") -> _Rule:
-        def fwd(idx):
-            a = right.apply(idx)
-            if a is None:
-                return None
-            b = left.apply(a[0])
-            if b is None:
-                return None
-            return b[0], a[1] * b[1]
-
-        def bwd(idx):
-            a = left.unapply(idx)
-            if a is None:
-                return None
-            b = right.unapply(a[0])
-            if b is None:
-                return None
-            return b[0], a[1] * b[1]
-
-        return _Rule(name, fwd, bwd)
-
-    if u.rules:
-        u_rules = PartialInjectionOp(rules=u.rules, validate=False)
-        v_inf = PartialInjectionOp(cyls=v.cyls, rules=v.rules, validate=False)
-        if not v_inf.is_zero():
-            rules.append(lazy("compose", u_rules, v_inf))
-    if v.rules and u.cyls:
-        u_cyl = PartialInjectionOp(cyls=u.cyls, validate=False)
-        v_rules = PartialInjectionOp(rules=v.rules, validate=False)
-        rules.append(lazy("compose", u_cyl, v_rules))
-    return PartialInjectionOp(table, cyls, rules, validate=False)
+    return PartialInjectionOp(table, cyls, validate=False)
 
 
 def sum_disjoint(u: PartialInjectionOp, v: PartialInjectionOp) -> PartialInjectionOp:
@@ -506,8 +415,7 @@ def sum_disjoint(u: PartialInjectionOp, v: PartialInjectionOp) -> PartialInjecti
         if src in table:
             raise DisjointnessError(f"domains overlap at {src}", index=src)
         table[src] = arrow
-    out = PartialInjectionOp(table, u.cyls + v.cyls, u.rules + v.rules)
-    return out
+    return PartialInjectionOp(table, u.cyls + v.cyls)
 
 
 def conjugate_by(w: PartialInjectionOp, u: PartialInjectionOp) -> PartialInjectionOp:
@@ -525,22 +433,9 @@ def axiom_swap() -> PartialInjectionOp:
     return compose(l_isometry(), adjoint(r_isometry()))
 
 
-def is_partial_symmetry(u: PartialInjectionOp, budget: int = 1000) -> bool:
-    """u = u* and u^3 = u; exact on finite forms, sampled on rules."""
-    if not u.has_rules:
-        adj = adjoint(u)
-        if u != adj:
-            return False
-        return compose(compose(u, u), u) == u
-    adj = adjoint(u)
-    cube = compose(compose(u, u), u)
-    for k in range(budget):
-        for idx in (Idx(k, 0), Idx(k, 1)):
-            if u.apply(idx) != adj.apply(idx):
-                return False
-            if cube.apply(idx) != u.apply(idx):
-                return False
-    return True
+def is_partial_symmetry(u: PartialInjectionOp) -> bool:
+    """u = u* and u^3 = u, decided exactly on the canonical forms."""
+    return u == adjoint(u) and compose(compose(u, u), u) == u
 
 
 # ----------------------------------------------------------------------
@@ -559,36 +454,14 @@ class NilpotencyResult:
         return self.kind == "nilpotent"
 
 
-def nilpotency(u: PartialInjectionOp, seeds: Iterable | None = None, budget: int = ORBIT_BUDGET) -> NilpotencyResult:
+def nilpotency(u: PartialInjectionOp, budget: int = ORBIT_BUDGET) -> NilpotencyResult:
     """Classify u as Nilpotent(degree), Cyclic(witness) or Exceeded.
 
-    Without seeds the paths of u through itself are searched once, memoised
-    by range side (``PathGraph.classify``), which is exact for tables and
-    cylinders alike.  Rule-backed operators need explicit seeds, whose
-    orbits are walked point by point.
+    The paths of u through itself are searched once, memoised by range
+    side (``PathGraph.classify``), which is exact for tables and cylinders
+    alike.
     """
-    if seeds is None:
-        if u.has_rules:
-            raise ValueError("seeds are mandatory for rule-backed operators")
-        return PathGraph(u, ((u,),)).classify(budget)
-    longest = 0
-    for seed in seeds:
-        seen = {as_idx(seed)}
-        cur = as_idx(seed)
-        steps = 0
-        while True:
-            hit = u.apply(cur)
-            if hit is None:
-                break
-            cur = hit[0]
-            steps += 1
-            if cur in seen:
-                return NilpotencyResult("cyclic", witness=cur)
-            seen.add(cur)
-            if steps > budget:
-                return NilpotencyResult("exceeded", budget=budget)
-        longest = max(longest, steps)
-    return NilpotencyResult("nilpotent", degree=longest + 1)
+    return PathGraph(u, ((u,),)).classify(budget)
 
 
 class PathGraph:
@@ -612,8 +485,6 @@ class PathGraph:
 
     def __init__(self, first: PartialInjectionOp, stages: Sequence[Sequence[PartialInjectionOp]]):
         self.stages = tuple(tuple(stage) for stage in stages)
-        if first.has_rules or any(op.has_rules for stage in self.stages for op in stage):
-            raise ValueError("rule-backed operators have no exact path expansion")
         self.first = first
         self._edges: dict = {}
 
@@ -790,8 +661,6 @@ _MAX_REFINE = 64
 
 def restrict_outside(u: PartialInjectionOp, region: Region) -> PartialInjectionOp:
     """(1 - p) u (1 - p) for the projection p onto the region."""
-    if u.has_rules:
-        raise ValueError("cannot restrict rule-backed operators symbolically")
     table = {
         src: arrow
         for src, arrow in u.table.items()
@@ -853,7 +722,7 @@ def to_dense(u: PartialInjectionOp, window: Iterable) -> DenseOperator:
 
 
 # ----------------------------------------------------------------------
-# The replication codec
+# The pairing codec
 
 
 def beta_encode(n: int, m: int) -> int:
@@ -872,61 +741,3 @@ def beta_decode(k: int) -> tuple[int, int]:
         x //= 2
         n += 1
     return n, (x - 1) // 2
-
-
-def bang(u: PartialInjectionOp) -> PartialInjectionOp:
-    """Replication: act on the odd-part coordinate of the codec, keep the copy index."""
-
-    def fwd(idx: Idx):
-        n, m = beta_decode(idx.value)
-        hit = u.apply(Idx(m, idx.slot))
-        if hit is None or hit[0].slot != idx.slot:
-            return None
-        return Idx(beta_encode(n, hit[0].value), idx.slot), hit[1]
-
-    def bwd(idx: Idx):
-        n, m = beta_decode(idx.value)
-        hit = u.unapply(Idx(m, idx.slot))
-        if hit is None or hit[0].slot != idx.slot:
-            return None
-        return Idx(beta_encode(n, hit[0].value), idx.slot), hit[1]
-
-    return PartialInjectionOp.rule("bang", fwd, bwd)
-
-
-def internal_tensor(u: PartialInjectionOp, v: PartialInjectionOp) -> PartialInjectionOp:
-    """u acting on the first codec coordinate, v on the second."""
-
-    def fwd(idx: Idx):
-        n, m = beta_decode(idx.value)
-        a = u.apply(Idx(n, idx.slot))
-        b = v.apply(Idx(m, idx.slot))
-        if a is None or b is None or a[0].slot != idx.slot or b[0].slot != idx.slot:
-            return None
-        return Idx(beta_encode(a[0].value, b[0].value), idx.slot), a[1] * b[1]
-
-    def bwd(idx: Idx):
-        n, m = beta_decode(idx.value)
-        a = u.unapply(Idx(n, idx.slot))
-        b = v.unapply(Idx(m, idx.slot))
-        if a is None or b is None or a[0].slot != idx.slot or b[0].slot != idx.slot:
-            return None
-        return Idx(beta_encode(a[0].value, b[0].value), idx.slot), a[1] * b[1]
-
-    return PartialInjectionOp.rule("itensor", fwd, bwd)
-
-
-def gamma_assoc() -> PartialInjectionOp:
-    """Unitary reassociating the codec: beta(beta(p, q), r) -> beta(p, beta(q, r))."""
-
-    def fwd(idx: Idx):
-        s, r = beta_decode(idx.value)
-        p, q = beta_decode(s)
-        return Idx(beta_encode(p, beta_encode(q, r)), idx.slot), 1.0 + 0j
-
-    def bwd(idx: Idx):
-        p, t = beta_decode(idx.value)
-        q, r = beta_decode(t)
-        return Idx(beta_encode(beta_encode(p, q), r), idx.slot), 1.0 + 0j
-
-    return PartialInjectionOp.rule("gamma", fwd, bwd)

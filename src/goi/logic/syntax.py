@@ -47,7 +47,6 @@ class Zero:
 Formula = Union[Var, DualVar, Bin, Top, Zero]
 
 _DUAL_CONN = {"tensor": "par", "par": "tensor", "with": "plus", "plus": "with"}
-_CONN_SYM = {"tensor": "(*)", "par": "(+)", "with": "&", "plus": "(+)|"}
 _SYM = {"tensor": "⊗", "par": "⅋", "with": "&", "plus": "⊕"}
 
 

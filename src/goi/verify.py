@@ -1,7 +1,9 @@
 """Property suites behind ``goi verify`` and the acceptance tests.
 
 Every suite is deterministic in (seed, trials).  Records carry the
-numeric payloads and a reproducer string.
+numeric payloads and a reproducer string.  A timed check records its
+wall clock as ``elapsed_s`` beside a fixed ``budget_s``; the status is
+decided by the mathematics alone.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def check_regression_values() -> CheckRecord:
     d3 = plain_det(DenseOperator.identity((0, 1, 2)) - uv3)
     not_iso = not uv3.is_partial_isometry()
     elapsed = time.perf_counter() - start
-    ok = abs(d2 - 4.0) <= 1e-12 and abs(d3 - (1 - s) ** 2) <= 1e-10 and not_iso and elapsed < 1e-3
+    ok = abs(d2 - 4.0) <= 1e-12 and abs(d3 - (1 - s) ** 2) <= 1e-10 and not_iso
     return _record(
         "regression-determinants",
         ok,
@@ -142,6 +144,7 @@ def check_regression_values() -> CheckRecord:
             "expected_3x3": (1 - s) ** 2,
             "product_fails_partial_isometry": not_iso,
             "elapsed_s": elapsed,
+            "budget_s": 1e-3,
         },
         "builtin pair",
     )
@@ -153,11 +156,11 @@ def check_group_word() -> CheckRecord:
     words = all_words(6)
     distinct = len({monoid_word_eval(w) for w in words})
     elapsed = time.perf_counter() - start
-    ok = g.shift_map() == {2: 48, 3: 2} and g.step == 3 and distinct == len(words) and elapsed < 1.0
+    ok = g.shift_map() == {2: 48, 3: 2} and g.step == 3 and distinct == len(words)
     return _record(
         "group-free-monoid",
         ok,
-        {"word_value": sorted(g.shift_map().items()), "step": g.step, "words": len(words), "distinct": distinct, "elapsed_s": elapsed},
+        {"word_value": sorted(g.shift_map().items()), "step": g.step, "words": len(words), "distinct": distinct, "elapsed_s": elapsed, "budget_s": 1.0},
         "word a^2 b a^48 b^2; words of length <= 6",
     )
 
@@ -205,8 +208,9 @@ def check_block_identity(seed: int, trials: int) -> CheckRecord:
         d2 = plain_det(DenseOperator.identity(ex.carrier) - mat_mul(ex, H))
         worst = max(worst, abs(lhs - d1 * d2))
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-8 and elapsed < 1.0
-    return _record("block-determinant-identity", ok, {"worst_residual": worst, "elapsed_s": elapsed, "trials": trials}, f"seed={seed}")
+    ok = worst <= 1e-8
+    data = {"worst_residual": worst, "elapsed_s": elapsed, "budget_s": 1.0, "trials": trials}
+    return _record("block-determinant-identity", ok, data, f"seed={seed}")
 
 
 def check_adjunction_hyp(seed: int, trials: int) -> CheckRecord:
@@ -381,11 +385,11 @@ def check_mll_soundness() -> CheckRecord:
         if not soundness_check_mll(proof):
             failures.append(name)
     elapsed = time.perf_counter() - start
-    ok = not failures and elapsed < 1.0 and len(corpus.MLL_CORPUS) >= 12
+    ok = not failures and len(corpus.MLL_CORPUS) >= 12
     return _record(
         "mll-exact-soundness",
         ok,
-        {"proofs": len(corpus.MLL_CORPUS), "failures": failures, "elapsed_s": elapsed},
+        {"proofs": len(corpus.MLL_CORPUS), "failures": failures, "elapsed_s": elapsed, "budget_s": 1.0},
         "bundled multiplicative corpus",
     )
 

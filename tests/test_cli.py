@@ -155,8 +155,7 @@ class TestVerify:
         report = json.loads(out.read_text())
         statuses = {c["name"]: c["status"] for c in report["checks"]}
         assert statuses["adjunction-hyp"] == "indeterminate"
-        # a wall-clock budget (regression-determinants, 1 ms) can trip on a loaded host: a failed record outranks it
-        assert report["status"] == ("fail" if "fail" in statuses.values() else "indeterminate")
+        assert report["status"] == "indeterminate"
 
 
 class TestBoundaries:

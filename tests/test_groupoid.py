@@ -6,17 +6,15 @@ from hypothesis import strategies as st
 from goi.errors import DisjointnessError, WindowError
 from goi.groupoid import (
     Idx,
+    NilpotencyResult,
     _compose_cyl,
     PartialInjectionOp,
     Region,
     adjoint,
     axiom_swap,
-    bang,
     beta_decode,
     beta_encode,
     compose,
-    gamma_assoc,
-    internal_tensor,
     is_partial_symmetry,
     l_isometry,
     nilpotency,
@@ -39,6 +37,33 @@ def partial_injections(draw, pool=16, max_size=6):
     return PartialInjectionOp({Idx(s): (Idx(d), phase) for s, d in zip(src, dst)})
 
 
+@st.composite
+def symmetrised_tables(draw, pool=12):
+    """Pairs a <-> b and fixed points; each back arrow carries the conjugate weight or, sometimes, another one."""
+    points = draw(st.permutations(range(pool)))
+    pairs = draw(st.integers(0, pool // 2))
+    fixed = draw(st.integers(0, pool - 2 * pairs))
+    phases = st.sampled_from([1.0 + 0j, -1.0 + 0j, 1j, -1j])
+    table = {}
+    for a, b in zip(points[: 2 * pairs : 2], points[1 : 2 * pairs : 2]):
+        w = draw(phases)
+        table[Idx(a)] = (Idx(b), w)
+        table[Idx(b)] = (Idx(a), draw(st.sampled_from([w.conjugate()] * 3 + [w])))
+    for a in points[2 * pairs : 2 * pairs + fixed]:
+        table[Idx(a)] = (Idx(a), draw(phases))
+    return PartialInjectionOp(table)
+
+
+# operators that mix table arrows and cylinders, for products in either order
+MIXED = (
+    r_isometry(),
+    l_isometry(),
+    PartialInjectionOp.cylinder("R", "L", 1j),
+    PartialInjectionOp({Idx(1): (Idx(2), -1.0 + 0j)}, PartialInjectionOp.cylinder("LL", "RR").cyls),
+    PartialInjectionOp({Idx(0): (Idx(3), 1j), Idx(6): (Idx(2), 1.0 + 0j)}, PartialInjectionOp.cylinder("RR", "L").cyls),
+)
+
+
 class TestIsometries:
     def test_r_doubles(self):
         assert r_isometry().apply(3)[0] == Idx(6)
@@ -54,7 +79,14 @@ class TestIsometries:
         for n in list(range(100)) + [2**16]:
             assert total.apply(n) == (Idx(n), 1.0 + 0j)
 
-    def test_compose_rule(self):
+    def test_equal_sums_hash_equal(self):
+        r, l = r_isometry(), l_isometry()
+        split = sum_disjoint(compose(r, adjoint(r)), compose(l, adjoint(l)))
+        whole = PartialInjectionOp.cylinder("", "")
+        assert hash(split) == hash(whole)
+        assert len({split, whole, adjoint(adjoint(split))}) == 1
+
+    def test_compose_cylinders(self):
         rl = compose(r_isometry(), l_isometry())
         for n in range(20):
             assert rl.apply(n)[0] == Idx(4 * n + 2)
@@ -98,6 +130,16 @@ class TestComposeAndSum:
     @settings(max_examples=60, deadline=None)
     def test_uustaru_exact(self, u):
         assert compose(compose(u, adjoint(u)), u) == u
+
+    @given(st.one_of(partial_injections(), st.sampled_from(MIXED)), st.one_of(partial_injections(), st.sampled_from(MIXED)))
+    @settings(max_examples=120, deadline=None)
+    def test_compose_matches_pointwise(self, u, v):
+        uv = compose(u, v)
+        for n in range(64):
+            hit = v.apply(n)
+            after = None if hit is None else u.apply(hit[0])
+            expected = None if after is None else (after[0], hit[1] * after[1])
+            assert uv.apply(n) == expected
 
     def test_unimodular_weights_enforced(self):
         with pytest.raises(ValueError):
@@ -199,6 +241,24 @@ class TestOdotAndSymmetry:
         p = PartialInjectionOp.identity_on([2, 4])
         assert is_partial_symmetry(p)
 
+    @given(st.one_of(partial_injections(), symmetrised_tables()))
+    @settings(max_examples=200, deadline=None)
+    def test_partial_symmetry_matches_its_matrix(self, u):
+        support = sorted({i for src, (dst, _) in u.table.items() for i in (src, dst)})
+        m = to_dense(u, support).mat
+        expected = np.array_equal(m, m.conj().T) and np.array_equal(m @ m @ m, m)
+        assert is_partial_symmetry(u) == expected
+
+    def test_tables_and_cylinders_only(self):
+        u = PartialInjectionOp.from_table({0: 1})
+        with pytest.raises(TypeError):
+            PartialInjectionOp(rules=())
+        with pytest.raises(TypeError):
+            nilpotency(u, seeds=[0])
+        with pytest.raises(TypeError):
+            is_partial_symmetry(u, budget=10)
+        assert PartialInjectionOp().rules == ()
+
 
 class TestNilpotency:
     def test_single_arrow(self):
@@ -209,19 +269,10 @@ class TestNilpotency:
         res = nilpotency(PartialInjectionOp.from_table({0: 1, 1: 0}))
         assert res.kind == "cyclic" and res.witness is not None
 
-    def test_rule_shift_exceeds(self):
-        shift = PartialInjectionOp.rule(
-            "shift",
-            lambda i: (Idx(i.value + 1, i.slot), 1.0 + 0j),
-            lambda i: (Idx(i.value - 1, i.slot), 1.0 + 0j) if i.value > 0 else None,
-        )
-        res = nilpotency(shift, seeds=[0], budget=10)
-        assert res.kind == "exceeded"
-
-    def test_rule_without_seeds_rejected(self):
-        shift = PartialInjectionOp.rule("s", lambda i: None, lambda i: None)
-        with pytest.raises(ValueError):
-            nilpotency(shift)
+    def test_chain_longer_than_budget_exceeds(self):
+        chain = PartialInjectionOp.from_table({n: n + 1 for n in range(20)})
+        assert nilpotency(chain, budget=10) == NilpotencyResult("exceeded", budget=10)
+        assert nilpotency(chain) == NilpotencyResult("nilpotent", degree=21)
 
     @given(partial_injections())
     @settings(max_examples=60, deadline=None)
@@ -253,42 +304,17 @@ class TestBetaCodec:
             n, m = beta_decode(k)
             assert beta_encode(n, m) == k
 
+    def test_negative_arguments_rejected(self):
+        for args in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                beta_encode(*args)
+        with pytest.raises(ValueError):
+            beta_decode(-1)
+
     @given(st.integers(0, 10**9))
     def test_bijection_property(self, k):
         n, m = beta_decode(k)
         assert beta_encode(n, m) == k
-
-    def test_bang_identity(self):
-        b = bang(PartialInjectionOp.cylinder("", ""))
-        for k in range(200):
-            assert b.apply(k) == (Idx(k), 1.0 + 0j)
-
-    def test_bang_arrow(self):
-        b = bang(PartialInjectionOp.from_table({0: 1}))
-        for n in range(9):
-            assert b.apply(beta_encode(n, 0))[0] == Idx(beta_encode(n, 1))
-
-    def test_gamma_law(self):
-        g = gamma_assoc()
-        for p in range(5):
-            for q in range(5):
-                for r in range(5):
-                    k = beta_encode(beta_encode(p, q), r)
-                    assert g.apply(k)[0] == Idx(beta_encode(p, beta_encode(q, r)))
-
-    def test_internal_tensor_associates_through_gamma(self):
-        u = PartialInjectionOp.from_table({0: 1, 1: 0})
-        v = PartialInjectionOp.from_table({0: 0, 1: 2, 2: 1})
-        w = PartialInjectionOp.from_table({0: 2, 2: 0, 1: 1})
-        lhs = internal_tensor(internal_tensor(u, v), w)
-        rhs = internal_tensor(u, internal_tensor(v, w))
-        g = gamma_assoc()
-        conj = compose(adjoint(g), compose(rhs, g))
-        for p in range(3):
-            for q in range(3):
-                for r in range(3):
-                    k = beta_encode(beta_encode(p, q), r)
-                    assert lhs.apply(k) == conj.apply(k)
 
 
 class TestDenseWindow:

@@ -74,3 +74,17 @@ def test_default_seed_sub_checks_have_instances():
     assert (rec.data["nilpotent_instances"], rec.data["inflation_instances"], rec.data["series_instances"]) == (35, 10, 10)
     rec = verify.check_variant_laws(DEFAULT_SEED, 100)
     assert rec.ok and rec.data["inflation_instances"] == 4
+
+
+def test_wall_clock_budget_does_not_decide_the_status(monkeypatch):
+    ticks = iter(range(0, 10**6, 10))
+    monkeypatch.setattr(verify.time, "perf_counter", lambda: float(next(ticks)))
+    records = [
+        verify.check_regression_values(),
+        verify.check_group_word(),
+        verify.check_block_identity(DEFAULT_SEED, 3),
+        verify.check_mll_soundness(),
+    ]
+    for rec in records:
+        assert rec.status == "pass", rec.name
+        assert rec.data["elapsed_s"] > rec.data["budget_s"], rec.name
