@@ -9,7 +9,9 @@ tagged strings, never as floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import logging
 import math
 import sys
 
@@ -192,6 +194,7 @@ def cmd_interpret(args) -> int:
     report_p = is_promising(project)
     witnesses = sequent_dual_witnesses(plan, basis)
     rows = orthogonal_witness_suite(project, witnesses)
+    coverage = witnesses.coverage
     support = len(project.op.table) if project.dialectal.is_symbolic else int((abs(project.dialectal.dense_payload().mat) > 1e-12).sum())
     report = {
         "schema": SCHEMA,
@@ -215,6 +218,13 @@ def cmd_interpret(args) -> int:
         "witness_table": [
             {"witness": r.witness, "sca": r.sca, "verdict": r.verdict, "suspicious": r.suspicious} for r in rows
         ],
+        "witness_coverage": {
+            "combinations": coverage.combinations,
+            "tested": coverage.tested,
+            "exhaustive": coverage.exhaustive,
+            # one entry per formula of "sequent", in its order
+            "sites": [{"family": size, "cap": cap} for size, cap in coverage.sites],
+        },
     }
     _emit(report, args.out)
     all_orth = bool(rows) and all(r.verdict == "orthogonal" for r in rows)
@@ -243,8 +253,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if status == "pass" else EXIT_PROPERTY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every parse starts from a fresh namespace."""
     parser = argparse.ArgumentParser(prog="goi", description="Proof-as-operator engine: check, interpret, verify.")
+    parser.add_argument("-v", "--verbose", action="store_true", help="log the library's warnings to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="parse and rule-check a proof file")
@@ -275,7 +288,18 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    return args.func(args)
+    if not args.verbose:
+        return args.func(args)
+    # warnings of the goi loggers (a complex residue in a measurement determinant) go to stderr for this call
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    handler.setLevel(logging.WARNING)
+    logger = logging.getLogger("goi")
+    logger.addHandler(handler)
+    try:
+        return args.func(args)
+    finally:
+        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ Two faces of the same operation, each step of it done by one routine:
 * ``plug_measured``: the dialect-extended execution of two hermitian
   contractions together with its measurement, in one pass: one
   extension of the pair, one certificate (the alternating paths of two
-  symbolic payloads, or the spectral gate of the dense product), then
+  unimodular tables, or the spectral gate of the dense product), then
   the blockwise log-determinant and the resolvent.  ``plug_dialectal``
   and ``projects.plug_project`` read it.
 """
@@ -31,7 +31,7 @@ from .errors import (
     NotNilpotentError,
     NotOrthogonalError,
 )
-from .groupoid import PartialInjectionOp, PathGraph, Region, sum_disjoint
+from .groupoid import PartialInjectionOp, PathGraph, Region, sum_disjoint, sum_weighted
 from .linalg import DenseOperator, operator_norm, union_carrier
 from .measurement import (
     DialectalOperator,
@@ -43,6 +43,7 @@ from .measurement import (
     meas_hyp,
     meas_mat,
     spectral_gate,
+    table_matrix,
 )
 
 
@@ -141,9 +142,10 @@ def plug_measured(A: DialectalOperator, B: DialectalOperator) -> tuple[Meas, Dia
 
     The execution lives on the carrier outside the shared locations, with
     the tensored dialect; with no shared carrier it is the union
-    A^dag + B^ddag.  Two symbolic payloads are plugged exactly by
-    alternating path summation and measure 0.  Otherwise the resolvent is
-    used, and the measurement is taken from 1 - BA, whose determinant is
+    A^dag + B^ddag.  Two unimodular tables are plugged exactly by
+    alternating path summation and measure 0.  Otherwise (a dense side, or
+    a weighted table) the resolvent is used on dense payloads, and the
+    measurement is taken from 1 - BA, whose determinant is
     that of 1 - AB in every dialect block.  Gate: NotOrthogonalError when
     the product is cyclic or its spectral radius is certified at or above
     1; IndeterminateError when the path budget runs out or the
@@ -153,7 +155,7 @@ def plug_measured(A: DialectalOperator, B: DialectalOperator) -> tuple[Meas, Dia
     a_locs = set(A.carrier)
     shared = a_locs & set(B.carrier)
     result_carrier = tuple(l for l in ext.carrier if l not in shared)
-    if isinstance(ext.a, PartialInjectionOp):
+    if isinstance(ext.a, PartialInjectionOp) and isinstance(ext.b, PartialInjectionOp):
         # every alternating word of the two payloads: the paths that start in A and in B
         from_a = PathGraph(ext.a, ((ext.b,), (ext.a,)))
         res = from_a.classify()
@@ -166,6 +168,9 @@ def plug_measured(A: DialectalOperator, B: DialectalOperator) -> tuple[Meas, Dia
         region = Region.from_locations(shared)
         op = sum_disjoint(from_a.outside(region), from_b.outside(region))
         return 0.0, DialectalOperator(result_carrier, ext.dialect, ext.pseudo_trace, op)
+    if not isinstance(ext.a, DenseOperator):
+        labels = dial_labels(ext.carrier, ext.dialect.dim)
+        ext = ext._replace(a=table_matrix(ext.a, labels), b=table_matrix(ext.b, labels))
 
     prod = DenseOperator(ext.a.carrier, ext.b.mat @ ext.a.mat)
     gate = spectral_gate(prod)
@@ -213,12 +218,12 @@ def adjunction_residual_hyp(u: DenseOperator, v: DenseOperator, w: DenseOperator
 
 
 def union_dialectal(G: DialectalOperator, H: DialectalOperator) -> DialectalOperator:
-    """Disjoint-carrier union G^dag + H^ddag with tensored dialect; exact on two symbolic payloads."""
+    """Disjoint-carrier union G^dag + H^ddag with tensored dialect; exact on two table payloads."""
     if set(G.carrier) & set(H.carrier):
         raise CarrierError("union requires disjoint carriers")
     ext = extended_pair(G, H)
-    op = sum_disjoint(ext.a, ext.b) if isinstance(ext.a, PartialInjectionOp) else ext.a + ext.b
-    make = DialectalOperator._built if G.is_symbolic == H.is_symbolic else DialectalOperator
+    op = ext.a + ext.b if isinstance(ext.a, DenseOperator) else sum_weighted(ext.a, ext.b)
+    make = DialectalOperator._built if type(G.op) is type(H.op) else DialectalOperator
     return make(ext.carrier, ext.dialect, ext.pseudo_trace, op)
 
 

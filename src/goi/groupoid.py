@@ -16,13 +16,21 @@ Two branch kinds cover everything the engine needs:
 
 Indices are (value, slot) pairs; the slot tags an independent copy of
 the basis (dialect coordinate, or a private region for a cut).
+
+``WeightedInjection`` is the one operator here whose arrows are not
+unimodular: a finite table ``v`` followed by a diagonal contraction ``d``
+on its range, an element of the diagonal algebra times an element of its
+normalising groupoid.  ``relabel`` and ``sum_weighted`` carry ``d``
+beside ``v``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -436,6 +444,63 @@ def axiom_swap() -> PartialInjectionOp:
 def is_partial_symmetry(u: PartialInjectionOp) -> bool:
     """u = u* and u^3 = u, decided exactly on the canonical forms."""
     return u == adjoint(u) and compose(compose(u, u), u) == u
+
+
+# ----------------------------------------------------------------------
+# Weighted partial injections
+
+
+@dataclass(frozen=True)
+class WeightedInjection:
+    """d v: the finite partial injection v, then the diagonal d on its range.
+
+    ``v`` carries the phases and stays unimodular; ``d`` maps every range
+    index of v to a real weight, so the arrow src -> dst weighs
+    ``w * d[dst]``.  The operator is a contraction exactly when every
+    |d| <= 1.  Both fields are read-only: ``d`` and ``v.table`` are
+    wrapped in mapping proxies.
+    """
+
+    v: PartialInjectionOp
+    d: Mapping[Idx, float]
+
+    def __post_init__(self):
+        object.__setattr__(self, "d", MappingProxyType(dict(self.d)))
+        if not isinstance(self.v.table, MappingProxyType):
+            self.v.table = MappingProxyType(self.v.table)
+
+    @staticmethod
+    def of(u: PartialInjectionOp) -> "WeightedInjection":
+        """u with weight 1 on each arrow."""
+        return WeightedInjection(PartialInjectionOp(dict(u.table), validate=False), {dst: 1.0 for dst, _ in u.table.values()})
+
+    @cached_property
+    def table(self) -> Mapping[Idx, tuple[Idx, complex]]:
+        """src -> (dst, weight of the arrow)."""
+        d = self.d
+        return MappingProxyType({src: (dst, w * d[dst]) for src, (dst, w) in self.v.table.items()})
+
+
+def relabel(u: PartialInjectionOp | WeightedInjection, index: Callable[[Idx], Idx], phase: Callable[[Idx], complex] | None = None):
+    """t u t* for the finite table u and the injection t: i -> phase(i) index(i).
+
+    A weighted u keeps each weight of d on the renamed index.
+    """
+    if isinstance(u, WeightedInjection):
+        return WeightedInjection(relabel(u.v, index, phase), {index(i): m for i, m in u.d.items()})
+    if phase is None:
+        table = {index(src): (index(dst), w) for src, (dst, w) in u.table.items()}
+    else:
+        table = {index(src): (index(dst), phase(dst) * w * phase(src).conjugate()) for src, (dst, w) in u.table.items()}
+    return PartialInjectionOp(table, validate=False)
+
+
+def sum_weighted(u: PartialInjectionOp | WeightedInjection, v: PartialInjectionOp | WeightedInjection):
+    """``sum_disjoint`` of two finite tables; weighted when either is, with d = 1 on a plain one's arrows."""
+    if isinstance(u, PartialInjectionOp) and isinstance(v, PartialInjectionOp):
+        return sum_disjoint(u, v)
+    u, v = (x if isinstance(x, WeightedInjection) else WeightedInjection.of(x) for x in (u, v))
+    return WeightedInjection(sum_disjoint(u.v, v.v), {**u.d, **v.d})
 
 
 # ----------------------------------------------------------------------

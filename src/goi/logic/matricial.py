@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CarrierError, MissingVariableError, NumericError, ProofSyntaxError
+from ..groupoid import Idx, PartialInjectionOp, WeightedInjection
+from ..measurement import TRIVIAL_DIALECT, UNIT_TRACE, DialectalOperator
 from ..projects import (
     ConductWitnessSet,
     Delocation,
@@ -80,7 +82,10 @@ class InterpretationBasis:
     Every witness is materialised once, here: a spec that does not give a
     hermitian contraction with finite entries and a finite wager raises
     CarrierError or NumericError naming the entry, before any proof is
-    interpreted against the basis.
+    interpreted against the basis.  The checked matrix is then held as
+    d v, a diagonal contraction times a partial injection
+    (``WeightedInjection``): every spec of the grammar has at most one
+    non-zero entry per row and per column.
     """
 
     def __init__(self, entries):
@@ -136,7 +141,14 @@ class InterpretationBasis:
             mat += np.diag(np.array(spec.values, dtype=complex))
         else:
             raise CarrierError(f"unknown witness kind {spec.kind}")
-        return make_project(carrier, spec.wager, mat)
+        mat = make_project(carrier, spec.wager, mat).op.mat
+        v, d = {}, {}
+        for i, j in zip(*np.nonzero(mat)):
+            src, dst, w = Idx(carrier[j], 0), Idx(carrier[i], 0), complex(mat[i, j])
+            v[src] = (dst, w / abs(w))
+            d[dst] = abs(w)
+        op = WeightedInjection(PartialInjectionOp(v), d)
+        return Project(float(spec.wager), DialectalOperator(carrier, TRIVIAL_DIALECT, UNIT_TRACE, op))
 
     def primal_projects(self, name: str) -> list[Project]:
         return list(self._projects[self.entry(name).name, "primal"])
@@ -150,7 +162,7 @@ def default_basis() -> InterpretationBasis:
 
     Every primal/dual pairing measures to a value comfortably away from
     0 and finite, so generated witness products stay admissible.  Built
-    and checked once per process: its projects are frozen, their arrays
+    and checked once per process: its projects are frozen, their payloads
     read-only, and ``primal_projects``/``dual_projects`` return fresh lists.
     """
     return _default_basis()
@@ -357,6 +369,27 @@ def dual_witnesses_for(site: CarrierSite, basis: InterpretationBasis, cap: int =
     return out
 
 
+@dataclass(frozen=True)
+class WitnessCoverage:
+    """Which share of a sequent's witness combinations a witness set tests.
+
+    ``sites`` holds, per formula of the sequent, the size of its witness
+    family and the cap that family was cut to.
+    """
+
+    sites: tuple[tuple[int, int], ...]
+    tested: int
+
+    @property
+    def combinations(self) -> int:
+        """One witness per site: the product of the family sizes, exactly."""
+        return math.prod(size for size, _ in self.sites)
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.tested == self.combinations
+
+
 def sequent_dual_witnesses(plan: MatPlan, basis: InterpretationBasis, cap: int = 3, total_cap: int = 12) -> ConductWitnessSet:
     """Witnesses of the dual of a whole sequent: tensors over occurrences.
 
@@ -364,11 +397,16 @@ def sequent_dual_witnesses(plan: MatPlan, basis: InterpretationBasis, cap: int =
     of per-site witnesses, combinations in ``itertools.product`` order.
     Successive combinations share a prefix, and the fold of that prefix is
     kept: only the sites from the first change onwards are tensored again.
+    The set's ``coverage`` says how many combinations there are.
     """
     per_site = [dual_witnesses_for(site, basis, cap) for site in plan.sites]
     carrier = tuple(loc for site in plan.sites for loc in site.locations)
+    sites = tuple(
+        (len(w), 2 * cap if isinstance(site.formula, Bin) and site.formula.conn == "with" else cap)
+        for site, w in zip(plan.sites, per_site)
+    )
     if any(not w for w in per_site):
-        return ConductWitnessSet(carrier, (), "dual")
+        return ConductWitnessSet(carrier, (), "dual", WitnessCoverage(sites, 0))
     members = []
     folds: list[Project] = []  # folds[i]: the tensor of the current combination's sites 0..i
     previous: tuple = ()
@@ -383,4 +421,4 @@ def sequent_dual_witnesses(plan: MatPlan, basis: InterpretationBasis, cap: int =
         if set(acc.carrier) != set(carrier):
             acc = extend_carrier(acc, tuple(l for l in carrier if l not in set(acc.carrier)))
         members.append(acc)
-    return ConductWitnessSet(carrier, tuple(members), "dual")
+    return ConductWitnessSet(carrier, tuple(members), "dual", WitnessCoverage(sites, len(members)))

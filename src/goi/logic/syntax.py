@@ -48,6 +48,7 @@ Formula = Union[Var, DualVar, Bin, Top, Zero]
 
 _DUAL_CONN = {"tensor": "par", "par": "tensor", "with": "plus", "plus": "with"}
 _SYM = {"tensor": "⊗", "par": "⅋", "with": "&", "plus": "⊕"}
+_CONN_OF_SYM = {sym: conn for conn, sym in _SYM.items()}
 
 
 def dual(f: Formula) -> Formula:
@@ -376,10 +377,14 @@ def _formula_of(node, tok: _Tok) -> Formula:
             return Top()
         if text == "zero":
             return Zero()
-        if not text or text[0] == "(":
+        if not text or text[0] == "(" or text == "^":
             raise ProofSyntaxError(f"bad formula atom {text!r}", node.line, node.col)
-        return Var(text)
+        # X^ is how ``fmt`` prints (dual X)
+        return DualVar(text[:-1]) if text.endswith("^") else Var(text)
     items, opener = node
+    if len(items) == 3 and _is_atom(items[1]) and items[1].text in _CONN_OF_SYM:
+        # (A op B) is how ``fmt`` prints (conn A B)
+        return Bin(_CONN_OF_SYM[items[1].text], _formula_of(items[0], opener), _formula_of(items[2], opener))
     if not items or not _is_atom(items[0]):
         raise ProofSyntaxError("formula must start with a connective", opener.line, opener.col)
     head = items[0].text

@@ -7,6 +7,16 @@ below 1, and declared infinite when it is certified at or above 1.  A
 certificate that straddles 1 yields the first-class Indeterminate value,
 which is never silently collapsed into a logical claim.
 
+A dialectal operator holds one of three payloads: a dense matrix, a
+unimodular partial injection (the interpretations of proofs) or a
+diagonal times a partial injection, d v (the basis witnesses).  When
+neither side of a measurement is dense, the extended product is a
+weighted partial injection and is decided exactly from its cycles: none
+gives 0, a cycle of modulus 1 gives +inf, and otherwise each dialect
+block contributes -log prod_c (1 - w_c) over its cycles c.  The dense
+path serves dense input and is the oracle of the exact one; both apply
+one determinant rule (``_weighted_log_sum``).
+
 Trace convention: locations are counted (the trace of the identity on a
 carrier is the carrier size); dialect blocks carry one real weight each
 against the block-normalised trace.
@@ -17,13 +27,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
 from .config import NORM_SLACK, struct_tol
 from .errors import CarrierError
-from .groupoid import Idx, NilpotencyResult, PartialInjectionOp, PathGraph, nilpotency
+from .groupoid import Idx, PartialInjectionOp, WeightedInjection
 from .linalg import DenseOperator, spectral_radius, union_carrier
 
 log = logging.getLogger(__name__)
@@ -174,25 +184,37 @@ def dial_labels(carrier, dim: int) -> tuple:
     return tuple((loc, c) for loc in carrier for c in range(dim))
 
 
+def table_matrix(op: PartialInjectionOp | WeightedInjection, labels: tuple) -> DenseOperator:
+    """The matrix of a finite table on (location, coordinate) labels that hold its indices."""
+    pos = {lab: i for i, lab in enumerate(labels)}
+    mat = np.zeros((len(labels), len(labels)), dtype=complex)
+    for src, (dst, w) in op.table.items():
+        mat[pos[(dst.value, dst.slot)], pos[(src.value, src.slot)]] = w
+    return DenseOperator(labels, mat)
+
+
 @dataclass(frozen=True)
 class DialectalOperator:
     """Hermitian contraction on carrier x dialect with its pseudo-trace.
 
-    The payload is either a dense matrix on (location, coordinate) labels
-    or an exact partial injection whose indices are (location, coordinate)
-    pairs.  Entries across distinct dialect blocks must vanish: the
+    The payload is one of three kinds: a dense matrix on (location,
+    coordinate) labels; an exact unimodular partial injection whose
+    indices are (location, coordinate) pairs; or a ``WeightedInjection``
+    d v on the same indices, a diagonal contraction d times such a partial
+    injection v.  Entries across distinct dialect blocks must vanish: the
     operator lives in the direct-sum algebra.
 
     The constructor checks this where an operator enters the engine: from
-    outside input, at the plug and at first densification (a table is not
-    checked for self-adjointness).  Tensors, delocations, zero extensions
-    and superpositions hold it by construction and are built unchecked.
+    outside input, at the plug and at first densification (a unimodular
+    table is not checked for self-adjointness; a weighted one is, and for
+    |d| <= 1).  Tensors, delocations, zero extensions and superpositions
+    hold it by construction and are built unchecked.
     """
 
     carrier: tuple
     dialect: Dialect
     pseudo_trace: PseudoTrace
-    op: object  # DenseOperator | PartialInjectionOp
+    op: object  # DenseOperator | PartialInjectionOp | WeightedInjection
 
     def __post_init__(self):
         carrier = tuple(self.carrier)
@@ -206,8 +228,10 @@ class DialectalOperator:
             self._check_dense(self.op)
         elif isinstance(self.op, PartialInjectionOp):
             self._check_symbolic(self.op)
+        elif isinstance(self.op, WeightedInjection):
+            self._check_weighted(self.op)
         else:
-            raise TypeError("payload must be DenseOperator or PartialInjectionOp")
+            raise TypeError("payload must be DenseOperator, PartialInjectionOp or WeightedInjection")
 
     @classmethod
     def _built(cls, carrier: tuple, dialect: Dialect, pseudo_trace: PseudoTrace, op) -> "DialectalOperator":
@@ -242,21 +266,30 @@ class DialectalOperator:
             if self.dialect.assignment[src.slot] != self.dialect.assignment[dst.slot]:
                 raise CarrierError("operator mixes dialect blocks")
 
+    def _check_weighted(self, op: WeightedInjection):
+        self._check_symbolic(op.v)
+        if set(op.d) != {dst for dst, _ in op.v.table.values()}:
+            raise CarrierError("the diagonal must weigh exactly the range of the injection")
+        if not all(abs(m) <= 1.0 + NORM_SLACK for m in op.d.values()):
+            raise CarrierError("dialectal operator must be a contraction")
+        tol = max(struct_tol(), 1e-9)
+        table = op.table
+        for src, (dst, w) in table.items():
+            back = table.get(dst)
+            if back is None or back[0] != src or abs(back[1] - w.conjugate()) > tol:
+                raise CarrierError("dialectal operator must be hermitian")
+
     # -- views ----------------------------------------------------------
 
     @property
     def is_symbolic(self) -> bool:
-        return isinstance(self.op, PartialInjectionOp)
+        """The payload is an exact table: a unimodular or a weighted partial injection."""
+        return not isinstance(self.op, DenseOperator)
 
     def dense_payload(self) -> DenseOperator:
         if isinstance(self.op, DenseOperator):
             return self.op
-        labels = dial_labels(self.carrier, self.dialect.dim)
-        pos = {lab: i for i, lab in enumerate(labels)}
-        mat = np.zeros((len(labels), len(labels)), dtype=complex)
-        for src, (dst, w) in self.op.table.items():
-            mat[pos[(dst.value, dst.slot)], pos[(src.value, src.slot)]] = w
-        return DenseOperator(labels, mat)
+        return table_matrix(self.op, dial_labels(self.carrier, self.dialect.dim))
 
     def as_dense(self) -> "DialectalOperator":
         if not self.is_symbolic:
@@ -292,17 +325,21 @@ def from_location_matrix(carrier, mat, dialect: Dialect = TRIVIAL_DIALECT, alpha
 # Dialect extension (dagger / ddagger)
 
 
-def _extend_table(op: PartialInjectionOp, k: int, k_other: int, left: bool) -> PartialInjectionOp:
+def _extend_table(op: PartialInjectionOp | WeightedInjection, k: int, k_other: int, left: bool) -> PartialInjectionOp | WeightedInjection:
     """A table on a k-dimensional dialect with the identity on a k_other-dimensional one.
 
     ``left`` keeps the table's coordinate first (X (x) 1, as ``dagger``):
     slot s becomes s * k_other + c; else last (1 (x) X, as ``ddagger``):
-    slot s becomes c * k + s.
+    slot s becomes c * k + s.  A weighted table keeps its diagonal on
+    every copy.
     """
 
     def slot(s: int, c: int) -> int:
         return s * k_other + c if left else c * k + s
 
+    if isinstance(op, WeightedInjection):
+        d = {Idx(i.value, slot(i.slot, c)): m for i, m in op.d.items() for c in range(k_other)}
+        return WeightedInjection(_extend_table(op.v, k, k_other, left), d)
     return PartialInjectionOp(
         {
             Idx(src.value, slot(src.slot, c)): (Idx(dst.value, slot(dst.slot, c)), w)
@@ -349,8 +386,9 @@ class ExtendedPair(NamedTuple):
     """A and B extended to one dialect on one carrier, as plain payloads.
 
     ``a`` is A (x) 1 and ``b`` is 1 (x) B; the dialect is A's tensored
-    with B's.  When both payloads are symbolic they are partial
-    injections; otherwise both are DenseOperators zero-extended to
+    with B's.  When neither payload is dense, each keeps its kind: a
+    unimodular partial injection, or a weighted one (d v); otherwise both
+    are DenseOperators zero-extended to
     ``dial_labels(carrier, dialect.dim)``.  The payloads are factors of a
     product or a sum and are not checked as dialectal operators: a result
     that is kept is built as a ``DialectalOperator`` and checked then.
@@ -396,13 +434,16 @@ def extended_pair(A: DialectalOperator, B: DialectalOperator) -> ExtendedPair:
 # ldet and the measurements
 
 
-def _block_log_sum(one_minus: np.ndarray, carrier, dialect: Dialect, weights: PseudoTrace, absolute: bool) -> Meas:
-    # one_minus is on dial_labels(carrier, dialect.dim): coordinate c of location i sits at i * dim + c
-    block = np.tile(np.asarray(dialect.assignment), len(carrier))
+def _weighted_log_sum(dets: Iterable[tuple[int, complex, float]], dialect: Dialect, weights: PseudoTrace, absolute: bool) -> Meas:
+    """-sum_b (alpha_b / k_b) log det_b from the (block, sign, logabs) of each block's determinant.
+
+    The one determinant rule of the measurements, dense or exact: with
+    ``absolute`` only a zero determinant is infinite; otherwise the real
+    part of each sign must be positive, and a complex residue in a sign is
+    logged as a warning.
+    """
     total = 0.0
-    for b, k in enumerate(dialect.blocks):
-        idx = np.flatnonzero(block == b)
-        sign, logabs = np.linalg.slogdet(one_minus[np.ix_(idx, idx)])
+    for b, sign, logabs in dets:
         if absolute:
             if sign == 0:
                 return math.inf
@@ -413,8 +454,69 @@ def _block_log_sum(one_minus: np.ndarray, carrier, dialect: Dialect, weights: Ps
             if sign.real <= 0:
                 return math.inf
             val = float(logabs) + math.log(sign.real)
-        total += -(weights.weights[b] / k) * val
+        total += -(weights.weights[b] / dialect.blocks[b]) * val
     return total
+
+
+def _block_log_sum(one_minus: np.ndarray, carrier, dialect: Dialect, weights: PseudoTrace, absolute: bool) -> Meas:
+    # one_minus is on dial_labels(carrier, dialect.dim): coordinate c of location i sits at i * dim + c
+    block = np.tile(np.asarray(dialect.assignment), len(carrier))
+
+    def dets():
+        for b in range(dialect.n_blocks()):
+            idx = np.flatnonzero(block == b)
+            yield (b, *np.linalg.slogdet(one_minus[np.ix_(idx, idx)]))
+
+    return _weighted_log_sum(dets(), dialect, weights, absolute)
+
+
+def _arrows(op: PartialInjectionOp | WeightedInjection) -> dict:
+    """src -> (dst, weight, modulus) of a finite table; the modulus is |d| at dst, 1 on a unimodular table."""
+    if isinstance(op, WeightedInjection):
+        d = op.d
+        return {src: (dst, w * d[dst], abs(d[dst])) for src, (dst, w) in op.v.table.items()}
+    return {src: (dst, w, 1.0) for src, (dst, w) in op.table.items()}
+
+
+def _product_arrows(a, b) -> dict:
+    """``_arrows`` of the product b a of two finite tables (a acts first)."""
+    then = _arrows(b)
+    step = {}
+    for x, (y, w, m) in _arrows(a).items():
+        hit = then.get(y)
+        if hit is not None:
+            step[x] = (hit[0], w * hit[1], m * hit[2])
+    return step
+
+
+def _cycle_ldet(step: dict, dialect: Dialect, weights: PseudoTrace) -> Meas:
+    """ldet of the weighted partial injection given by its ``_arrows``, decided by one walk over its cycles.
+
+    Every index lies on one path or one cycle.  1 - M has determinant 1 on
+    a path and 1 - w_c on a cycle of weight w_c, and a cycle stays inside
+    its dialect block.  So no cycle gives exactly 0; a cycle whose moduli
+    multiply to 1 or more gives spectral radius >= 1, hence +inf; otherwise
+    block b has determinant prod_c (1 - w_c) over its cycles.
+    """
+    cycles: dict[int, list[complex]] = {}
+    seen = set()
+    for start in step:
+        if start in seen:
+            continue
+        x, w, m = start, 1.0 + 0j, 1.0
+        while x in step and x not in seen:
+            seen.add(x)
+            x, wx, mx = step[x]
+            w *= wx
+            m *= mx
+        if x == start:
+            if m >= 1.0:
+                return math.inf
+            cycles.setdefault(dialect.assignment[start.slot], []).append(1.0 - w)
+    if not cycles:
+        return 0.0
+    dets = ((b, math.prod(f / abs(f) for f in cycles[b]), math.fsum(math.log(abs(f)) for f in cycles[b])) for b in sorted(cycles))
+    return _weighted_log_sum(dets, dialect, weights, absolute=False)
 
 
 def spectral_gate(prod: DenseOperator) -> Meas | None:
@@ -425,14 +527,6 @@ def spectral_gate(prod: DenseOperator) -> Meas | None:
     if report.below_one():
         return None
     return math.inf if report.at_least_one() else INDETERMINATE
-
-
-def _path_gate(res: NilpotencyResult) -> Meas | None:
-    """``spectral_gate`` for a product of partial injections, from its paths:
-    nilpotent (radius 0), cyclic (radius 1) or out of path budget."""
-    if res.is_nilpotent:
-        return None
-    return math.inf if res.kind == "cyclic" else INDETERMINATE
 
 
 def _ldet_raw(mat: DenseOperator, carrier, dialect: Dialect, weights: PseudoTrace, absolute: bool) -> Meas:
@@ -451,13 +545,12 @@ def ldet(M: DialectalOperator, *, absolute: bool = False) -> Meas:
     With ``absolute=True`` the gate is skipped and |det| is used (the
     Fuglede-Kadison convention), with +inf exactly on singular 1 - M.
 
-    A symbolic payload is classified exactly: a nilpotent partial
-    injection has no fixed point in any power, so every trace term
-    vanishes and the series is 0; a cyclic one has spectral radius 1.
+    A table payload is decided exactly from its cycles (``_cycle_ldet``):
+    a nilpotent one has no fixed point in any power, so every trace term
+    vanishes and the series is 0.
     """
     if not absolute and M.is_symbolic:
-        gate = _path_gate(nilpotency(M.op))
-        return 0.0 if gate is None else gate
+        return _cycle_ldet(_arrows(M.op), M.dialect, M.pseudo_trace)
     dense = M.as_dense()
     return _ldet_raw(dense.dense_payload(), dense.carrier, dense.dialect, dense.pseudo_trace, absolute)
 
@@ -485,15 +578,14 @@ def ldet_series(M: DialectalOperator, terms: int = 60) -> float:
 def meas_mat(A: DialectalOperator, B: DialectalOperator) -> Meas:
     """ldet of 1 minus the dialect-extended product, with the spectral gate.
 
-    On two symbolic payloads the answer is exact, from the alternating
-    paths of the extended pair: nilpotent products give 0, cyclic
-    products give +inf (a partial-isometry product has spectral radius 1
-    exactly when some power survives forever).
+    When neither payload is dense the extended product BA is a weighted
+    partial injection, and the answer is exact, from one walk over its
+    cycles (``_cycle_ldet``).  A pair with a dense side is measured
+    densely: the spectral gate, then ``slogdet`` per dialect block.
     """
     ext = extended_pair(A, B)
-    if isinstance(ext.a, PartialInjectionOp):
-        gate = _path_gate(PathGraph(ext.a, ((ext.b,), (ext.a,))).classify())
-        return 0.0 if gate is None else gate
+    if not isinstance(ext.a, DenseOperator):
+        return _cycle_ldet(_product_arrows(ext.a, ext.b), ext.dialect, ext.pseudo_trace)
     return _ldet_raw(ext.a @ ext.b, ext.carrier, ext.dialect, ext.pseudo_trace, absolute=False)
 
 

@@ -23,7 +23,9 @@ from .groupoid import (
     adjoint,
     compose,
     is_partial_symmetry,
+    relabel,
     sum_disjoint,
+    sum_weighted,
 )
 from .linalg import DenseOperator
 from .measurement import (
@@ -125,17 +127,14 @@ def deloc_project(theta: Delocation, a: Project) -> Project:
     mapping = {loc: theta.map_location(loc) for loc in a.carrier}
     new_carrier = tuple(mapping[l] for l in a.carrier)
     d = a.dialectal
+    phases = [theta.op.apply(Idx(loc, 0))[1] for loc in a.carrier]
     if d.is_symbolic:
-        table = {}
-        for src, (dst, w) in d.op.table.items():
-            ws = theta.op.apply(Idx(src.value, 0))[1]
-            wd = theta.op.apply(Idx(dst.value, 0))[1]
-            table[Idx(mapping[src.value], src.slot)] = (Idx(mapping[dst.value], dst.slot), wd * w * ws.conjugate())
-        op = PartialInjectionOp(table)
+        phase = dict(zip(a.carrier, phases))
+        op = relabel(d.op, lambda i: Idx(mapping[i.value], i.slot), lambda i: phase[i.value])
     else:
         labels = dial_labels(new_carrier, d.dialect.dim)
         # the payload's labels are location-major: one phase per location, repeated over its coordinates
-        phase = np.repeat([theta.op.apply(Idx(loc, 0))[1] for loc in a.carrier], d.dialect.dim)
+        phase = np.repeat(phases, d.dialect.dim)
         op = DenseOperator(labels, phase[:, None] * d.dense_payload().mat * phase.conj()[None, :])
     return Project(a.wager, DialectalOperator._built(new_carrier, d.dialect, d.pseudo_trace, op))
 
@@ -168,12 +167,10 @@ def sum_lambda(a: Project, lam: float, b: Project) -> Project:
     alpha = a.pseudo_trace.oplus(b.pseudo_trace.scale(lam))
     A, B = a.dialectal, b.dialectal.on_carrier(carrier)
     shift = a.dialect.dim
+    make = DialectalOperator._built if type(A.op) is type(B.op) else DialectalOperator
     if A.is_symbolic and B.is_symbolic:
-        table = dict(A.op.table)
-        for src, (dst, w) in B.op.table.items():
-            table[Idx(src.value, src.slot + shift)] = (Idx(dst.value, dst.slot + shift), w)
-        op = PartialInjectionOp(table)
-        return Project(a.wager + lam * b.wager, DialectalOperator._built(carrier, dialect, alpha, op))
+        op = sum_weighted(A.op, relabel(B.op, lambda i: Idx(i.value, i.slot + shift)))
+        return Project(a.wager + lam * b.wager, make(carrier, dialect, alpha, op))
     Am = A.dense_payload()
     Bm = B.dense_payload()
     labels = dial_labels(carrier, dialect.dim)
@@ -183,9 +180,7 @@ def sum_lambda(a: Project, lam: float, b: Project) -> Project:
     rows_b = [posn[(l, c + shift)] for l, c in Bm.carrier]
     mat[np.ix_(rows_a, rows_a)] = Am.mat
     mat[np.ix_(rows_b, rows_b)] = Bm.mat
-    op = DenseOperator(labels, mat)
-    make = DialectalOperator._built if A.is_symbolic == B.is_symbolic else DialectalOperator
-    return Project(a.wager + lam * b.wager, make(carrier, dialect, alpha, op))
+    return Project(a.wager + lam * b.wager, make(carrier, dialect, alpha, DenseOperator(labels, mat)))
 
 
 def extend_carrier(a: Project, extra) -> Project:
@@ -351,7 +346,7 @@ def is_promising(a: Project, tol: float | None = None) -> PromisingReport:
     pseudo_ok = a.pseudo_trace.is_faithful() and abs(a.pseudo_trace.unit() - 1.0) <= tol
     wager_ok = (not math.isinf(a.wager)) and abs(a.wager) <= tol
     d = a.dialectal
-    if d.is_symbolic:
+    if isinstance(d.op, PartialInjectionOp):
         symmetry_ok = is_partial_symmetry(d.op)
         traces_ok = all(src.value != dst.value for src, (dst, _) in d.op.table.items())
     else:
@@ -372,6 +367,7 @@ class ConductWitnessSet:
     carrier: tuple
     members: tuple
     polarity: str = "dual"
+    coverage: object = None  # the combinations the members were chosen from, where a generator says
 
     def __post_init__(self):
         for m in self.members:

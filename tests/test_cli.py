@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from goi.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, EXIT_RULE, EXIT_SYNTAX, main
+from goi.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, EXIT_RULE, EXIT_SYNTAX, build_parser, cmd_interpret, cmd_verify, main
+from goi.config import DEFAULT_SEED
 from goi.logic.syntax import MAX_NESTING
 
 
@@ -196,3 +197,110 @@ class TestBoundaries:
         assert main(["interpret", path, "--backend", "goi1"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert len(report["addresses"]) == 1025 and report["cut_product_nilpotency"] is None
+
+
+class TestParserBuiltOnce:
+    ARGVS = (
+        ["check", "{p}"],
+        ["interpret", "{p}", "--backend", "goi1"],
+        ["-v", "interpret", "{p}"],
+        ["interpret", "{p}"],
+        ["check", "{bad}"],
+        ["interpret", "{p}", "{b}"],
+    )
+
+    def test_same_reports_as_fresh_parsers(self, tmp_path, capsys):
+        paths = {
+            "p": write(tmp_path, "p.sexp", "(with (ax X1) (ax X1))"),
+            "bad": write(tmp_path, "bad.sexp", "(par 0 0 (ax X1))"),
+            "b": write(tmp_path, "b.sexp", "(basis (var X1 1 (primal (project 0.7 zero)) (dual (project 0.9 (scalar 0.5)))))"),
+        }
+        argvs = [[a.format(**paths) for a in argv] for argv in self.ARGVS]
+        cached = []
+        for argv in argvs:
+            cached.append((main(argv), capsys.readouterr().out))
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append((main(argv), capsys.readouterr().out))
+        # goi1 reads multiplicative proofs only: a with is a configuration error there
+        assert cached == fresh and [rc for rc, _ in cached] == [EXIT_OK, EXIT_CONFIG, EXIT_OK, EXIT_OK, EXIT_RULE, EXIT_OK]
+
+    def test_no_namespace_leaks(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        first = parser.parse_args(["-v", "verify", "--suite", "soundness", "--seed", "5", "--trials", "2", "--out", "r.json"])
+        assert (first.verbose, first.suite, first.seed, first.trials, first.out) == (True, "soundness", 5, 2, "r.json")
+        second = parser.parse_args(["verify"])
+        assert (second.verbose, second.suite, second.seed, second.trials, second.out) == (False, "all", DEFAULT_SEED, 100, None)
+        third = parser.parse_args(["interpret", "p", "--backend", "goi1"])
+        fourth = parser.parse_args(["interpret", "p"])
+        assert (third.backend, fourth.backend, fourth.basis) == ("goi1", "matricial", "default")
+        assert not hasattr(fourth, "suite") and fourth.func is cmd_interpret and second.func is cmd_verify
+
+
+class TestWitnessCoverage:
+    def interpret(self, tmp_path, capsys, text):
+        assert main(["interpret", write(tmp_path, "p.sexp", text)]) == EXIT_OK
+        return json.loads(capsys.readouterr().out)
+
+    def test_with_tower_6(self, tmp_path, capsys):
+        text = "(with (ax X1) (ax X1))"
+        for _ in range(5):
+            text = f"(tensor (with (ax X1) (ax X1)) {text})"
+        report = self.interpret(tmp_path, capsys, text)
+        cov = report["witness_coverage"]
+        assert (cov["combinations"], cov["tested"], cov["exhaustive"]) == (192, 12, False)
+        assert cov["sites"] == [{"family": 3, "cap": 3}] + [{"family": 2, "cap": 3}] * 6
+        assert len(cov["sites"]) == len(report["sequent"]) and len(report["witness_table"]) == 12
+
+    def test_tensor_64_exact_count(self, tmp_path, capsys):
+        text = "(ax X1)"
+        for _ in range(63):
+            text = f"(tensor (ax X1) {text})"
+        cov = self.interpret(tmp_path, capsys, text)["witness_coverage"]
+        assert cov["combinations"] == 3 * 2**64 and isinstance(cov["combinations"], int)
+        assert (cov["tested"], cov["exhaustive"]) == (12, False)
+
+    def test_single_site_is_exhaustive(self, tmp_path, capsys):
+        report = self.interpret(tmp_path, capsys, "(par 0 1 (ax X1))")
+        assert report["witness_coverage"] == {"combinations": 3, "tested": 3, "exhaustive": True, "sites": [{"family": 3, "cap": 3}]}
+
+    def test_with_site_cap(self, tmp_path, capsys):
+        cov = self.interpret(tmp_path, capsys, "(with (ax X3) (ax X3))")["witness_coverage"]
+        assert cov["sites"][0] == {"family": 4, "cap": 6} and cov["exhaustive"]
+
+
+class TestVerbose:
+    """-v sends the measurement's complex-residue warning to stderr, from the cycle walk and from the dense path."""
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_complex_residue_reaches_stderr(self, tmp_path, capsys, caplog, monkeypatch, dense):
+        from goi.groupoid import Idx, PartialInjectionOp
+        from goi.logic import matricial
+        from goi.measurement import TRIVIAL_DIALECT, UNIT_TRACE, DialectalOperator, dial_labels, table_matrix
+        from goi.projects import Project
+
+        def twisted(proof, basis, plan):
+            # not hermitian: the cycle a -> b -> a of the product with a witness has a complex weight
+            a, b = (site.locations[0] for site in plan.sites)
+            op = PartialInjectionOp({Idx(a, 0): (Idx(b, 0), 1j), Idx(b, 0): (Idx(a, 0), 1.0)})
+            if dense:
+                op = table_matrix(op, dial_labels((a, b), 1))
+            return Project(0.0, DialectalOperator._built((a, b), TRIVIAL_DIALECT, UNIT_TRACE, op))
+
+        monkeypatch.setattr(matricial, "interpret_mall_matricial", twisted)
+        path = write(tmp_path, "p.sexp", "(ax X1)")
+        quiet_rc = main(["interpret", path])
+        quiet = capsys.readouterr()
+        assert "complex residue" in caplog.text
+        assert "WARNING goi.measurement" not in quiet.err
+        caplog.clear()
+        assert main(["-v", "interpret", path]) == quiet_rc
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out
+        assert "WARNING goi.measurement: measurement determinant has complex residue" in loud.err
+        assert "complex residue" in caplog.text
+        # the handler lives for one call only
+        main(["interpret", path])
+        assert "WARNING goi.measurement" not in capsys.readouterr().err

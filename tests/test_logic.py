@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from goi.errors import (
     RuleApplicationError,
     UnsupportedRuleError,
 )
-from goi.groupoid import Region, adjoint, axiom_swap, compose, nilpotency, sum_disjoint
+from goi.groupoid import Idx, Region, adjoint, axiom_swap, compose, nilpotency, sum_disjoint
 from goi.execution import ex_goi1
 from goi.logic import corpus
 from goi.logic.goi1 import interpret_mll_goi1, soundness_check_mll
@@ -334,7 +336,12 @@ class TestDefaultBasis:
         assert default_basis() is basis
         for name in basis.entries:
             for p in basis.primal_projects(name) + basis.dual_projects(name):
-                assert p.dialectal.op.mat.flags.writeable is False
+                op = p.dialectal.op
+                for mapping in (op.d, op.v.table):
+                    with pytest.raises(TypeError):
+                        mapping[Idx(0, 0)] = None
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    op.d = {}
         before = basis.dual_projects("X1")
         basis.dual_projects("X1").clear()
         after = default_basis().dual_projects("X1")
