@@ -185,7 +185,20 @@ class _Cyl:
 
 
 class PartialInjectionOp:
-    """Weighted partial injection: finite table + cylinder monomials."""
+    """Weighted partial injection: finite table + cylinder monomials.
+
+    A table or cylinder that enters from outside is checked here: indices
+    are normalised to ``Idx``, every weight must have modulus 1 within
+    ``GOI_TOL``, no two sources may share a target and tables and
+    cylinders may not overlap.
+
+    ``validate=False`` is the trusted path, for results that the algebra
+    builds from operators that were checked (adjoints, products,
+    re-indexings, restrictions).  It promises that ``table`` is a dict
+    from ``Idx`` to ``(Idx, unimodular weight)``, which the operator then
+    owns, and that sources and targets are distinct; nothing of it is
+    checked or copied.
+    """
 
     __slots__ = ("table", "cyls", "_index")
 
@@ -194,17 +207,16 @@ class PartialInjectionOp:
     rules = ()
 
     def __init__(self, table=None, cyls=(), validate: bool = True):
-        tol = struct_tol()
-        tbl: dict[Idx, tuple[Idx, complex]] = {}
-        for src, (dst, w) in (table or {}).items():
-            tbl[as_idx(src)] = (as_idx(dst), _check_unimodular(w, tol))
-        self.table = tbl
         self.cyls = tuple(cyls)
         self._index = None
+        if not validate:
+            self.table = {} if table is None else table
+            return
+        tol = struct_tol()
+        self.table = {as_idx(src): (as_idx(dst), _check_unimodular(w, tol)) for src, (dst, w) in (table or {}).items()}
         for c in self.cyls:
             _check_unimodular(c.weight, tol)
-        if validate:
-            self._validate()
+        self._validate()
 
     def index(self) -> "_OpIndex":
         """Cylinders by domain and by range side, table arrows by source slot; built on first use."""
@@ -423,7 +435,10 @@ def sum_disjoint(u: PartialInjectionOp, v: PartialInjectionOp) -> PartialInjecti
         if src in table:
             raise DisjointnessError(f"domains overlap at {src}", index=src)
         table[src] = arrow
-    return PartialInjectionOp(table, u.cyls + v.cyls)
+    # the weights of two operators are checked already; their disjointness is not
+    op = PartialInjectionOp(table, u.cyls + v.cyls, validate=False)
+    op._validate()
+    return op
 
 
 def conjugate_by(w: PartialInjectionOp, u: PartialInjectionOp) -> PartialInjectionOp:
@@ -639,7 +654,9 @@ class PathGraph:
                     continue
                 if not _starts_inside(after, region):
                     stack.append((child, after, w * acc))
-        return PartialInjectionOp(table, cyls)
+        op = PartialInjectionOp(table, cyls, validate=False)
+        op._validate()
+        return op
 
 
 def _starts_inside(domain, region: "Region") -> bool:

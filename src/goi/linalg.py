@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -298,11 +299,5 @@ def tensor(a: DenseOperator, b: DenseOperator) -> DenseOperator:
 
 
 def union_carrier(*carriers: Sequence) -> tuple:
-    seen: list = []
-    have = set()
-    for carrier in carriers:
-        for l in carrier:
-            if l not in have:
-                have.add(l)
-                seen.append(l)
-    return tuple(seen)
+    """The labels of every carrier in order of first appearance: the concatenation when they are disjoint."""
+    return tuple(dict.fromkeys(chain.from_iterable(carriers)))

@@ -28,7 +28,9 @@ from .syntax import (
     Var,
     Zero,
     premises,
+    proof_variables,
     sequent_of,
+    subproof_sequents,
 )
 
 
@@ -122,14 +124,14 @@ def _dual_site(site: CarrierSite, f: Formula) -> CarrierSite:
     return CarrierSite(f, site.locations, (left, right))
 
 
-def allocate_matricial(proof: ProofTree, basis) -> MatPlan:
-    from .syntax import proof_variables
-
-    missing = sorted(v for v in proof_variables(proof) if not basis.covers(v))
+def allocate_matricial(proof: ProofTree, basis, sequents: dict[int, tuple] | None = None) -> MatPlan:
+    """The carrier plan of a proof; ``sequents`` is its ``subproof_sequents``, computed here when not given."""
+    sequents = subproof_sequents(proof) if sequents is None else sequents
+    missing = sorted(v for v in proof_variables(proof, sequents) if not basis.covers(v))
     if missing:
         raise MissingVariableError(f"basis lacks variables: {', '.join(missing)}")
     counter = count(0)
-    sites = tuple(_allocate_formula(f, basis, counter) for f in sequent_of(proof))
+    sites = tuple(_allocate_formula(f, basis, counter) for f in sequents[id(proof)])
     cut_sites = []
 
     def walk(node: ProofTree):

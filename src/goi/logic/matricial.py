@@ -323,10 +323,13 @@ def _dual_formula(f):
     return dual(f)
 
 
-def interpret_mall_matricial(proof: ProofTree, basis: InterpretationBasis, plan: MatPlan | None = None) -> Project:
-    """Project interpretation of an additive-multiplicative proof."""
-    plan = plan if plan is not None else allocate_matricial(proof, basis)
-    return _interpret(proof, list(plan.sites), list(plan.cut_sites), basis, subproof_sequents(proof))
+def interpret_mall_matricial(
+    proof: ProofTree, basis: InterpretationBasis, plan: MatPlan | None = None, sequents: dict[int, tuple] | None = None
+) -> Project:
+    """Project interpretation of an additive-multiplicative proof; ``sequents`` is its ``subproof_sequents``."""
+    sequents = subproof_sequents(proof) if sequents is None else sequents
+    plan = plan if plan is not None else allocate_matricial(proof, basis, sequents)
+    return _interpret(proof, list(plan.sites), list(plan.cut_sites), basis, sequents)
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +350,8 @@ def dual_witnesses_for(site: CarrierSite, basis: InterpretationBasis, cap: int =
     if isinstance(f, Top):
         return []  # the empty conduct has no members
     if isinstance(f, Zero):
-        return [zero_project(())]
+        # the zero operator on no locations, as a table: sequents with a 0 site stay exact
+        return [Project(0.0, DialectalOperator((), TRIVIAL_DIALECT, UNIT_TRACE, WeightedInjection(PartialInjectionOp(), {})))]
     assert isinstance(f, Bin)
     lefts = dual_witnesses_for(site.left(), basis, cap)
     rights = dual_witnesses_for(site.right(), basis, cap)

@@ -472,12 +472,24 @@ def variables_of(f: Formula) -> set[str]:
     return set()
 
 
-def proof_variables(p: ProofTree) -> set[str]:
+def proof_variables(p: ProofTree, sequents: dict[int, tuple] | None = None) -> set[str]:
+    """Variables of every sequent of the proof, cut formulas included (each is in its premise's sequent).
+
+    One walk: the sequents come from one ``subproof_sequents`` pass, or
+    from ``sequents`` when the caller has it, and a formula shared by
+    several sequents is read once.
+    """
+    sequents = subproof_sequents(p) if sequents is None else sequents
     out: set[str] = set()
-    for f in sequent_of(p):
-        out |= variables_of(f)
-    if isinstance(p, Cut):
-        out |= variables_of(p.formula)
-    for q in premises(p):
-        out |= proof_variables(q)
+    seen: set[int] = set()
+    stack = [f for s in sequents.values() for f in s]
+    while stack:
+        f = stack.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        if isinstance(f, Bin):
+            stack += (f.left, f.right)
+        elif isinstance(f, (Var, DualVar)):
+            out.add(f.name)
     return out

@@ -114,6 +114,11 @@ class Dialect:
         return len(self.blocks) == 1
 
     def tensor(self, other: "Dialect") -> "Dialect":
+        # the trivial dialect C is the unit of the tensor
+        if other.dim == 1:
+            return self
+        if self.dim == 1:
+            return other
         pairs = [(i, j) for i in range(len(self.blocks)) for j in range(len(other.blocks))]
         pair_pos = {p: t for t, p in enumerate(pairs)}
         blocks = tuple(self.blocks[i] * other.blocks[j] for i, j in pairs)
@@ -193,6 +198,15 @@ def table_matrix(op: PartialInjectionOp | WeightedInjection, labels: tuple) -> D
     return DenseOperator(labels, mat)
 
 
+def _check_hermitian(table) -> None:
+    """Every arrow src -> dst of weight w has its reverse dst -> src, of weight conj(w)."""
+    tol = max(struct_tol(), 1e-9)
+    for src, (dst, w) in table.items():
+        back = table.get(dst)
+        if back is None or back[0] != src or abs(back[1] - w.conjugate()) > tol:
+            raise CarrierError("dialectal operator must be hermitian")
+
+
 @dataclass(frozen=True)
 class DialectalOperator:
     """Hermitian contraction on carrier x dialect with its pseudo-trace.
@@ -205,10 +219,11 @@ class DialectalOperator:
     operator lives in the direct-sum algebra.
 
     The constructor checks this where an operator enters the engine: from
-    outside input, at the plug and at first densification (a unimodular
-    table is not checked for self-adjointness; a weighted one is, and for
-    |d| <= 1).  Tensors, delocations, zero extensions and superpositions
-    hold it by construction and are built unchecked.
+    outside input, at the plug and at first densification.  A table must
+    be hermitian (every arrow has its reverse, with the conjugate weight),
+    and a weighted one a contraction, |d| <= 1.  Tensors, delocations,
+    zero extensions and superpositions hold it by construction and are
+    built unchecked.
     """
 
     carrier: tuple
@@ -265,6 +280,7 @@ class DialectalOperator:
                 raise CarrierError("symbolic payload leaves the dialect")
             if self.dialect.assignment[src.slot] != self.dialect.assignment[dst.slot]:
                 raise CarrierError("operator mixes dialect blocks")
+        _check_hermitian(op.table)
 
     def _check_weighted(self, op: WeightedInjection):
         self._check_symbolic(op.v)
@@ -272,12 +288,7 @@ class DialectalOperator:
             raise CarrierError("the diagonal must weigh exactly the range of the injection")
         if not all(abs(m) <= 1.0 + NORM_SLACK for m in op.d.values()):
             raise CarrierError("dialectal operator must be a contraction")
-        tol = max(struct_tol(), 1e-9)
-        table = op.table
-        for src, (dst, w) in table.items():
-            back = table.get(dst)
-            if back is None or back[0] != src or abs(back[1] - w.conjugate()) > tol:
-                raise CarrierError("dialectal operator must be hermitian")
+        _check_hermitian(op.table)
 
     # -- views ----------------------------------------------------------
 
@@ -331,8 +342,11 @@ def _extend_table(op: PartialInjectionOp | WeightedInjection, k: int, k_other: i
     ``left`` keeps the table's coordinate first (X (x) 1, as ``dagger``):
     slot s becomes s * k_other + c; else last (1 (x) X, as ``ddagger``):
     slot s becomes c * k + s.  A weighted table keeps its diagonal on
-    every copy.
+    every copy.  The identity on one coordinate changes nothing, so
+    ``k_other == 1`` gives op itself.
     """
+    if k_other == 1:
+        return op
 
     def slot(s: int, c: int) -> int:
         return s * k_other + c if left else c * k + s
@@ -345,7 +359,8 @@ def _extend_table(op: PartialInjectionOp | WeightedInjection, k: int, k_other: i
             Idx(src.value, slot(src.slot, c)): (Idx(dst.value, slot(dst.slot, c)), w)
             for src, (dst, w) in op.table.items()
             for c in range(k_other)
-        }
+        },
+        validate=False,
     )
 
 

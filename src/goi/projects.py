@@ -144,9 +144,7 @@ def deloc_project(theta: Delocation, a: Project) -> Project:
 
 
 def tensor_project(a: Project, b: Project) -> Project:
-    """Disjoint union: wager a.beta(1) + alpha(1).b, dialects tensored."""
-    if set(a.carrier) & set(b.carrier):
-        raise CarrierError("tensor requires disjoint carriers")
+    """Disjoint union: wager a.beta(1) + alpha(1).b, dialects tensored (``union_dialectal``)."""
     wager = a.wager * b.pseudo_trace.unit() + a.pseudo_trace.unit() * b.wager
     return Project(wager, union_dialectal(a.dialectal, b.dialectal))
 

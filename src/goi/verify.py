@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GoiError
+from .errors import CarrierError, GoiError
 from .execution import (
     InterfaceSplit,
     adjunction_residual_hyp,
@@ -33,7 +33,10 @@ from .measurement import (
     DialectIso,
     DialectalOperator,
     PseudoTrace,
+    TRIVIAL_DIALECT,
     UNIT_TRACE,
+    _arrows,
+    _cycle_ldet,
     dagger,
     dial_labels,
     from_location_matrix,
@@ -267,7 +270,12 @@ def check_adjunction_mat(seed: int, trials: int) -> CheckRecord:
 
 def check_ldet_lemmas(seed: int, trials: int) -> CheckRecord:
     rng = _rng(seed, 7)
-    # nilpotent symbolic operators measure exactly to zero
+
+    def table_ldet(u: PartialInjectionOp):
+        # a drawn table is one-way, not hermitian, so no dialectal operator: its arrows go to the cycle walk bare
+        return _cycle_ldet(_arrows(u), TRIVIAL_DIALECT, UNIT_TRACE)
+
+    # nilpotent tables measure exactly to zero
     exact = True
     n_nil = 0
     for t in range(50):
@@ -276,9 +284,7 @@ def check_ldet_lemmas(seed: int, trials: int) -> CheckRecord:
         if res.kind != "nilpotent":
             continue
         n_nil += 1
-        carrier = sorted({i.value for i in u.table} | {d.value for d, _ in u.table.values()})
-        M = DialectalOperator(tuple(carrier), Dialect((1,)), UNIT_TRACE, u)
-        if ldet(M) != 0.0:
+        if table_ldet(u) != 0.0:
             exact = False
     # additivity on commuting dense pairs: 1 - (u + v - uv) = (1-u)(1-v)
     worst_sum = 0.0
@@ -297,10 +303,7 @@ def check_ldet_lemmas(seed: int, trials: int) -> CheckRecord:
     u1 = PartialInjectionOp.from_table({0: 1})
     u2 = PartialInjectionOp.from_table({5: 6})
     both = sum_disjoint(u1, u2)
-    M1 = DialectalOperator((0, 1), Dialect((1,)), UNIT_TRACE, u1)
-    M2 = DialectalOperator((5, 6), Dialect((1,)), UNIT_TRACE, u2)
-    Mb = DialectalOperator((0, 1, 5, 6), Dialect((1,)), UNIT_TRACE, both)
-    sym_exact = ldet(Mb) == ldet(M1) + ldet(M2) == 0.0
+    sym_exact = table_ldet(both) == table_ldet(u1) + table_ldet(u2) == 0.0
     # dialect inflation
     worst_inf = 0.0
     n_inf = 0
@@ -522,15 +525,21 @@ def check_compositionality() -> CheckRecord:
 
 
 def check_mutation() -> CheckRecord:
-    """Flipping one weight sign in a fax must break a suite check."""
+    """Flipping one weight sign in a fax must be refused where it enters, and fail ``is_promising``."""
     fax = _fax_pair(990)
     table = dict(fax.op.table)
     (src, (dst, w)) = next(iter(table.items()))
     table[src] = (dst, -w)
     mutated_op = PartialInjectionOp(table)
-    mutated = Project(0.0, DialectalOperator(fax.carrier, fax.dialect, fax.pseudo_trace, mutated_op))
+    try:
+        DialectalOperator(fax.carrier, fax.dialect, fax.pseudo_trace, mutated_op)
+        refused = False
+    except CarrierError:
+        refused = True
+    # the success checker must catch it on its own too, on the mutant built unchecked
+    mutated = Project(0.0, DialectalOperator._built(fax.carrier, fax.dialect, fax.pseudo_trace, mutated_op))
     rep = is_promising(mutated)
-    caught = not rep.all_pass and not rep.symmetry_ok
+    caught = refused and not rep.all_pass and not rep.symmetry_ok
     return _record(
         "mutation-checker",
         caught,

@@ -1,7 +1,10 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goi.errors import (
     CarrierError,
@@ -11,9 +14,10 @@ from goi.errors import (
     RuleApplicationError,
     UnsupportedRuleError,
 )
-from goi.groupoid import Idx, Region, adjoint, axiom_swap, compose, nilpotency, sum_disjoint
+from goi.cli import main
+from goi.groupoid import Idx, PartialInjectionOp, Region, adjoint, axiom_swap, compose, nilpotency, sum_disjoint
 from goi.execution import ex_goi1
-from goi.logic import corpus
+from goi.logic import corpus, syntax
 from goi.logic.goi1 import interpret_mll_goi1, soundness_check_mll
 from goi.logic.locations import allocate_goi1, allocate_matricial, comb_words
 from goi.logic.matricial import (
@@ -24,10 +28,19 @@ from goi.logic.matricial import (
 )
 from goi.logic.rewrite import normalize_mll
 from goi.logic.syntax import (
+    Ax,
     Bin,
+    Cut,
     DualVar,
+    Par,
+    PlusL,
+    PlusR,
+    TensorRule,
     Top,
+    TopRule,
     Var,
+    With,
+    Zero,
     check_proof,
     cut_count,
     dual,
@@ -36,7 +49,10 @@ from goi.logic.syntax import (
     leaf_paths,
     parse_formula,
     parse_proof,
+    premises,
+    proof_variables,
     sequent_of,
+    variables_of,
 )
 from goi.projects import is_promising, orthogonal_witness_suite
 
@@ -110,6 +126,99 @@ class TestProofChecking:
     def test_mll_fragment_detector(self):
         assert is_mll_proof(parse_proof("(tensor (ax X1) (ax X2))"))
         assert not is_mll_proof(parse_proof("(with (ax X1) (ax X1))"))
+
+
+def recursive_proof_variables(p) -> set:
+    """proof_variables as it was defined, reading the conclusion of every subproof afresh."""
+    out = set()
+    for f in sequent_of(p):
+        out |= variables_of(f)
+    if isinstance(p, Cut):
+        out |= variables_of(p.formula)
+    for q in premises(p):
+        out |= recursive_proof_variables(q)
+    return out
+
+
+NAMES = st.sampled_from(("X1", "X2", "X3", "X4", "Y"))
+FORMULAS = st.recursive(
+    st.one_of(NAMES.map(Var), NAMES.map(DualVar), st.just(Top()), st.just(Zero())),
+    lambda inner: st.builds(Bin, st.sampled_from(("tensor", "par", "with", "plus")), inner, inner),
+    max_leaves=4,
+)
+
+
+@st.composite
+def checked_proofs(draw, depth=4):
+    """Proof trees that check: axioms, top, tensor, par, with, plus and cuts on an atom."""
+    shapes = ("ax", "top", "tensor", "par", "with", "plusl", "plusr", "cut") if depth else ("ax", "top")
+    shape = draw(st.sampled_from(shapes))
+    if shape == "ax":
+        return Ax(draw(NAMES))
+    if shape == "top":
+        return TopRule(tuple(draw(st.lists(FORMULAS, max_size=2))))
+    p = draw(checked_proofs(depth - 1))
+    s = sequent_of(p)
+    if shape == "tensor":
+        return TensorRule(p, draw(checked_proofs(depth - 1)))
+    if shape == "par":
+        if len(s) < 2:
+            return p
+        i, j = draw(st.permutations(range(len(s))))[:2]
+        return Par(i, j, p)
+    if shape == "with":
+        return With(p, p)
+    if shape in ("plusl", "plusr"):
+        return (PlusL if shape == "plusl" else PlusR)(draw(FORMULAS), p)
+    atoms = [f for f in s if isinstance(f, (Var, DualVar))]
+    if not atoms:
+        return p
+    a = draw(st.sampled_from(atoms))
+    return Cut(a, p, Ax(a.name))
+
+
+class TestOneSequentWalk:
+    @given(checked_proofs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_proof_variables_is_the_recursive_definition(self, proof):
+        assert proof_variables(proof) == recursive_proof_variables(proof)
+
+    def test_proof_variables_walks_once(self, monkeypatch):
+        calls = []
+        walk = syntax.subproof_sequents
+        monkeypatch.setattr(syntax, "subproof_sequents", lambda p, *a: calls.append(p) or walk(p, *a))
+        proof = parse_proof("(tensor (with (ax X1) (ax X1)) (cut (dual X2) (ax X2) (plusl (dual X3) (ax X2))))")
+        assert proof_variables(proof) == {"X1", "X2", "X3"}
+        assert calls == [proof]
+
+    def test_interpret_is_linear_in_the_tensor_width(self, tmp_path, monkeypatch):
+        # counts, not clocks: operator constructions grow linearly in k, and the sequents are walked once
+        constructed, walks = [0], [0]
+        init, walk = PartialInjectionOp.__init__, syntax.subproof_sequents
+
+        def counting_init(self, *args, **kwargs):
+            constructed[0] += 1
+            init(self, *args, **kwargs)
+
+        def counting_walk(*args):
+            walks[0] += 1
+            return walk(*args)
+
+        monkeypatch.setattr(PartialInjectionOp, "__init__", counting_init)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("goi") and getattr(module, "subproof_sequents", None) is walk:
+                monkeypatch.setattr(module, "subproof_sequents", counting_walk)
+        counts = {}
+        for k in (8, 16, 32):
+            path = tmp_path / f"tensor-{k}.sexp"
+            path.write_text(right_tensor(k), encoding="utf-8")
+            constructed[0] = walks[0] = 0
+            assert main(["interpret", str(path), "--out", str(tmp_path / "r.json")]) == 0
+            assert walks[0] == 1
+            counts[k] = constructed[0]
+        # a k a + b count with b >= 0 at most doubles when k doubles; a fold that rebuilds its prefix grows as k^2
+        assert counts[8] < counts[16] <= 2 * counts[8]
+        assert counts[16] < counts[32] <= 2 * counts[16]
 
 
 class TestNormalization:

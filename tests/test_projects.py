@@ -228,7 +228,10 @@ class TestPromisingChecker:
         table = dict(f.op.table)
         src, (dst, w) = next(iter(table.items()))
         table[src] = (dst, -w)
-        mutated = Project(0.0, DialectalOperator(f.carrier, f.dialect, f.pseudo_trace, PartialInjectionOp(table)))
+        with pytest.raises(CarrierError, match="hermitian"):
+            DialectalOperator(f.carrier, f.dialect, f.pseudo_trace, PartialInjectionOp(table))
+        # refused where it enters; built unchecked, the success checker catches it on its own
+        mutated = Project(0.0, DialectalOperator._built(f.carrier, f.dialect, f.pseudo_trace, PartialInjectionOp(table)))
         rep = is_promising(mutated)
         assert not rep.symmetry_ok
 
@@ -382,8 +385,11 @@ class TestInvariantsByConstruction:
         checked(with_bar(a, b, theta1, theta2))
 
     def test_first_densification_checks_a_table(self):
-        # a table is not checked for self-adjointness: one arrow is accepted until it is densified
-        arrow = DialectalOperator((0, 1), Dialect((1,)), PseudoTrace((1.0,)), PartialInjectionOp.from_table({0: 1}))
+        # a table is checked for self-adjointness where it enters, as a dense payload is
+        with pytest.raises(CarrierError, match="hermitian"):
+            DialectalOperator((0, 1), Dialect((1,)), PseudoTrace((1.0,)), PartialInjectionOp.from_table({0: 1}))
+        # one arrow built unchecked is still refused at its first densification
+        arrow = DialectalOperator._built((0, 1), Dialect((1,)), PseudoTrace((1.0,)), PartialInjectionOp.from_table({0: 1}))
         with pytest.raises(CarrierError, match="hermitian"):
             arrow.as_dense()
         with pytest.raises(CarrierError, match="hermitian"):

@@ -17,7 +17,16 @@ from goi.errors import CarrierError, GoiError
 from goi.execution import plug_measured
 from goi.groupoid import Idx, PartialInjectionOp, WeightedInjection
 from goi.logic.locations import allocate_matricial
-from goi.logic.matricial import BasisEntry, InterpretationBasis, WitnessSpec, default_basis, sequent_dual_witnesses
+from goi.linalg import DenseOperator
+from goi.logic import corpus
+from goi.logic.matricial import (
+    BasisEntry,
+    InterpretationBasis,
+    WitnessSpec,
+    default_basis,
+    interpret_mall_matricial,
+    sequent_dual_witnesses,
+)
 from goi.logic.syntax import parse_proof
 from goi.measurement import (
     Dialect,
@@ -28,7 +37,16 @@ from goi.measurement import (
     ldet,
     meas_mat,
 )
-from goi.projects import Delocation, Project, deloc_project, extend_carrier, sum_lambda, tensor_project
+from goi.projects import (
+    ConductWitnessSet,
+    Delocation,
+    Project,
+    deloc_project,
+    extend_carrier,
+    orthogonal_witness_suite,
+    sum_lambda,
+    tensor_project,
+)
 
 from conftest import random_dialectal
 
@@ -172,11 +190,21 @@ class TestRefusedWhereItEnters:
             weighted((0,), {(0, 0): ((0, 1), 1.0), (0, 1): ((0, 0), 1.0)}, {(0, 1): 0.5, (0, 0): 0.5}, Dialect((1, 1)))
 
     def test_mixed_union_is_checked(self):
-        # a unimodular table is not checked for self-adjointness; joined with a weighted one, it is
-        arrow = DialectalOperator((0, 1), Dialect((1,)), PseudoTrace((1.0,)), PartialInjectionOp.from_table({0: 1}))
+        # a one-way table is refused where it enters; built unchecked and joined with a weighted one, it is refused again
+        with pytest.raises(CarrierError, match="hermitian"):
+            DialectalOperator((0, 1), Dialect((1,)), PseudoTrace((1.0,)), PartialInjectionOp.from_table({0: 1}))
+        arrow = DialectalOperator._built((0, 1), Dialect((1,)), PseudoTrace((1.0,)), PartialInjectionOp.from_table({0: 1}))
         w = weighted((2,), {(2, 0): ((2, 0), 1.0)}, {(2, 0): 0.5})
         with pytest.raises(CarrierError, match="hermitian"):
             tensor_project(Project(0.0, arrow), Project(0.0, w))
+
+
+ZERO_SEQUENTS = (
+    ("zero-plusl", "(plusl zero (ax X1))"),
+    ("zero-plusr", "(plusr zero (ax X3))"),
+    ("zero-with", "(with (plusl zero (ax X1)) (plusl zero (ax X1)))"),
+    ("zero-tensor", "(tensor (plusl zero (ax X1)) (ax X2))"),
+)
 
 
 class TestBasisWitnesses:
@@ -192,6 +220,26 @@ class TestBasisWitnesses:
         plan = allocate_matricial(parse_proof(text), basis)
         members = sequent_dual_witnesses(plan, basis).members
         assert members and all(isinstance(m.dialectal.op, WeightedInjection) for m in members)
+
+    def test_zero_site_stays_exact(self):
+        basis = default_basis()
+        plan = allocate_matricial(parse_proof("(plusl zero (ax X1))"), basis)
+        members = sequent_dual_witnesses(plan, basis).members
+        assert members and not any(isinstance(m.dialectal.op, DenseOperator) for m in members)
+
+    @pytest.mark.parametrize("name, text", corpus.MALL_CORPUS + corpus.MLL_CORPUS + ZERO_SEQUENTS)
+    def test_corpus_rows_match_the_dense_witnesses(self, name, text):
+        # the dense measurement of the same witnesses is how sequents with a 0 site were measured before
+        basis = default_basis()
+        proof = parse_proof(text)
+        plan = allocate_matricial(proof, basis)
+        project = interpret_mall_matricial(proof, basis, plan)
+        exact = sequent_dual_witnesses(plan, basis)
+        dense = ConductWitnessSet(exact.carrier, tuple(Project(m.wager, m.dialectal.as_dense()) for m in exact.members))
+        rows, oracle = orthogonal_witness_suite(project, exact), orthogonal_witness_suite(project, dense)
+        assert [r.verdict for r in rows] == [r.verdict for r in oracle]
+        for r, o in zip(rows, oracle):
+            assert r.sca == o.sca or abs(r.sca - o.sca) <= 1e-12 * abs(o.sca)
 
     def test_payload_is_read_only(self):
         op = default_basis().dual_projects("X3")[1].dialectal.op
