@@ -148,8 +148,8 @@ def cmd_interpret(args) -> int:
 
     if args.backend == "goi1":
         try:
-            plan = allocate_goi1(proof)
-            pi, sigma = interpret_mll_goi1(proof, plan)
+            plan = allocate_goi1(proof, sequents)
+            pi, sigma = interpret_mll_goi1(proof, plan, sequents)
         except GoiError as exc:
             _emit({"schema": SCHEMA, "command": "interpret", "status": "error", "error": str(exc)}, args.out)
             return EXIT_CONFIG

@@ -818,8 +818,5 @@ def beta_decode(k: int) -> tuple[int, int]:
     if k < 0:
         raise ValueError("argument must be a natural number")
     x = k + 1
-    n = 0
-    while x % 2 == 0:
-        x //= 2
-        n += 1
-    return n, (x - 1) // 2
+    n = (x & -x).bit_length() - 1  # the number of trailing zero bits of x
+    return n, ((x >> n) - 1) // 2

@@ -26,7 +26,6 @@ from .syntax import (
     dual,
     leaf_paths,
     par_positions,
-    sequent_of,
     subproof_sequents,
 )
 
@@ -47,8 +46,8 @@ def _matcher(word_a: str, word_b: str, slot: int, formula) -> list[tuple]:
 class _Links:
     """What the interpretation collects: the monomials of the axiom links and of the cut links."""
 
-    def __init__(self, proof: ProofTree):
-        self.sequents = subproof_sequents(proof)
+    def __init__(self, sequents: dict[int, tuple]):
+        self.sequents = sequents
         self.cuts = count(1)
         self.axioms: list[tuple] = []
         self.matchers: list[tuple] = []
@@ -105,21 +104,26 @@ def _interpret(node: ProofTree, sites: list[AddressSite], links: _Links) -> None
         raise UnsupportedRuleError(f"{type(node).__name__} is outside the multiplicative fragment")
 
 
-def interpret_mll_goi1(proof: ProofTree, plan: GoiPlan | None = None) -> tuple[PartialInjectionOp, PartialInjectionOp]:
-    """Axiom-link and cut-link partial symmetries of a multiplicative proof."""
-    plan = plan if plan is not None else allocate_goi1(proof)
-    links = _Links(proof)
+def interpret_mll_goi1(
+    proof: ProofTree, plan: GoiPlan | None = None, sequents: dict[int, tuple] | None = None
+) -> tuple[PartialInjectionOp, PartialInjectionOp]:
+    """Axiom-link and cut-link partial symmetries of a multiplicative proof; ``sequents`` is its ``subproof_sequents``."""
+    sequents = subproof_sequents(proof) if sequents is None else sequents
+    plan = plan if plan is not None else allocate_goi1(proof, sequents)
+    links = _Links(sequents)
     _interpret(proof, list(plan.sites), links)
     return PartialInjectionOp.cylinders(links.axioms), PartialInjectionOp.cylinders(links.matchers)
 
 
 def soundness_check_mll(proof: ProofTree) -> bool:
     """Execution of the interpretation equals the normal form's, bit-exact."""
-    plan = allocate_goi1(proof)
-    pi, sigma = interpret_mll_goi1(proof, plan)
+    sequents = subproof_sequents(proof)
+    plan = allocate_goi1(proof, sequents)
+    pi, sigma = interpret_mll_goi1(proof, plan, sequents)
     executed = ex_goi1(pi, sigma, Region.from_support(sigma))
     normal = normalize_mll(proof)
-    if sequent_of(normal) != sequent_of(proof):
+    normal_sequents = subproof_sequents(normal)
+    if normal_sequents[id(normal)] != sequents[id(proof)]:
         return False
-    pi_n, sigma_n = interpret_mll_goi1(normal, plan)
+    pi_n, sigma_n = interpret_mll_goi1(normal, plan, normal_sequents)
     return sigma_n.is_zero() and executed == pi_n

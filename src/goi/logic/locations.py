@@ -70,8 +70,9 @@ class GoiPlan:
         return GoiPlan(tuple(AddressSite(w, 0, f) for w, f in zip(words, sequent)))
 
 
-def allocate_goi1(proof: ProofTree) -> GoiPlan:
-    return GoiPlan.for_sequent(sequent_of(proof))
+def allocate_goi1(proof: ProofTree, sequents: dict[int, tuple] | None = None) -> GoiPlan:
+    """The address plan of a proof; ``sequents`` is its ``subproof_sequents``, computed here when not given."""
+    return GoiPlan.for_sequent(sequent_of(proof) if sequents is None else sequents[id(proof)])
 
 
 # ----------------------------------------------------------------------

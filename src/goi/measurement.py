@@ -260,13 +260,17 @@ class DialectalOperator:
         tol = struct_tol()
         if not op.is_hermitian(max(tol, 1e-9)):
             raise CarrierError("dialectal operator must be hermitian")
-        block = np.tile(np.asarray(self.dialect.assignment), len(self.carrier))
-        if np.any(np.abs(op.mat[block[:, None] != block[None, :]]) > tol):
-            raise CarrierError("operator mixes dialect blocks")
+        if self.dialect.is_factor():
+            # one block mixes with nothing: the whole matrix is that block
+            blocks = [op.mat]
+        else:
+            block = np.tile(np.asarray(self.dialect.assignment), len(self.carrier))
+            if np.any(np.abs(op.mat[block[:, None] != block[None, :]]) > tol):
+                raise CarrierError("operator mixes dialect blocks")
+            blocks = [op.mat[np.ix_(idx, idx)] for idx in (np.flatnonzero(block == b) for b in range(self.dialect.n_blocks()))]
         # hermitian and block diagonal: the norm is the largest |eigenvalue| over the blocks
-        for b in range(self.dialect.n_blocks()):
-            idx = np.flatnonzero(block == b)
-            if np.abs(np.linalg.eigvalsh(op.mat[np.ix_(idx, idx)])).max(initial=0.0) > 1.0 + NORM_SLACK:
+        for mat in blocks:
+            if np.abs(np.linalg.eigvalsh(mat)).max(initial=0.0) > 1.0 + NORM_SLACK:
                 raise CarrierError("dialectal operator must be a contraction")
 
     def _check_symbolic(self, op: PartialInjectionOp):
@@ -365,7 +369,9 @@ def _extend_table(op: PartialInjectionOp | WeightedInjection, k: int, k_other: i
 
 
 def _extend_matrix(mat: np.ndarray, k: int, k_other: int, left: bool) -> np.ndarray:
-    """A matrix on carrier x k coordinates with the identity on k_other more, as ``_extend_table``."""
+    """A matrix on carrier x k coordinates with the identity on k_other more, as ``_extend_table``: ``k_other == 1`` gives mat itself."""
+    if k_other == 1:
+        return mat
     n = mat.shape[0] // k
     m4 = mat.reshape(n, k, n, k)
     eye = np.eye(k_other, dtype=complex)
@@ -416,12 +422,16 @@ class ExtendedPair(NamedTuple):
     b: DenseOperator | PartialInjectionOp
 
 
-def _extend_payload(X: DialectalOperator, k_other: int, left: bool, pos: dict, n_union: int) -> np.ndarray:
-    """``_extend_matrix`` of X's dense payload, placed on n_union locations by ``pos``."""
+def _extend_payload(X: DialectalOperator, k_other: int, left: bool, carrier: tuple) -> np.ndarray:
+    """``_extend_matrix`` of X's dense payload, zero-extended to ``carrier`` unless X already is on it."""
+    ext = _extend_matrix(X.dense_payload().mat, X.dialect.dim, k_other, left)
+    if X.carrier == carrier:
+        return ext
+    pos = {loc: i for i, loc in enumerate(carrier)}
     K = X.dialect.dim * k_other
     rows = (np.array([pos[loc] for loc in X.carrier], dtype=np.intp)[:, None] * K + np.arange(K)).ravel()
-    out = np.zeros((n_union * K, n_union * K), dtype=complex)
-    out[np.ix_(rows, rows)] = _extend_matrix(X.dense_payload().mat, X.dialect.dim, k_other, left)
+    out = np.zeros((len(carrier) * K, len(carrier) * K), dtype=complex)
+    out[np.ix_(rows, rows)] = ext
     return out
 
 
@@ -438,10 +448,9 @@ def extended_pair(A: DialectalOperator, B: DialectalOperator) -> ExtendedPair:
     ka, kb = A.dialect.dim, B.dialect.dim
     if A.is_symbolic and B.is_symbolic:
         return ExtendedPair(carrier, dialect, alpha, _extend_table(A.op, ka, kb, True), _extend_table(B.op, kb, ka, False))
-    pos = {loc: i for i, loc in enumerate(carrier)}
     labels = dial_labels(carrier, dialect.dim)
-    a = _extend_payload(A, kb, True, pos, len(carrier))
-    b = _extend_payload(B, ka, False, pos, len(carrier))
+    a = _extend_payload(A, kb, True, carrier)
+    b = _extend_payload(B, ka, False, carrier)
     return ExtendedPair(carrier, dialect, alpha, DenseOperator(labels, a), DenseOperator(labels, b))
 
 
@@ -475,6 +484,8 @@ def _weighted_log_sum(dets: Iterable[tuple[int, complex, float]], dialect: Diale
 
 def _block_log_sum(one_minus: np.ndarray, carrier, dialect: Dialect, weights: PseudoTrace, absolute: bool) -> Meas:
     # one_minus is on dial_labels(carrier, dialect.dim): coordinate c of location i sits at i * dim + c
+    if dialect.is_factor():
+        return _weighted_log_sum([(0, *np.linalg.slogdet(one_minus))], dialect, weights, absolute)
     block = np.tile(np.asarray(dialect.assignment), len(carrier))
 
     def dets():

@@ -14,6 +14,11 @@ inverse between dense projections, ``symbolic_product_meas`` decides a
 symbolic pair by ``compose`` and ``nilpotency``, and
 ``two_pass_plug_project`` measures the pair and then plugs it in a
 second, separate pass.
+
+``masked_block_log_sum`` and ``masked_check_dense`` take every dialect,
+one block included, through the block masks and ``np.ix_`` copies, and
+``loop_beta_decode`` halves its argument one bit at a time: the general
+paths that the one-block and bit-arithmetic fast paths skip.
 """
 
 import itertools
@@ -21,13 +26,15 @@ import math
 
 import numpy as np
 
-from goi.errors import FeedbackSingularError, IndeterminateError, NotNilpotentError, NotOrthogonalError
+from goi.config import NORM_SLACK, struct_tol
+from goi.errors import CarrierError, FeedbackSingularError, IndeterminateError, NotNilpotentError, NotOrthogonalError
 from goi.groupoid import Idx, PartialInjectionOp, Region, compose, nilpotency, restrict_outside, sum_disjoint
 from goi.linalg import DenseOperator, spectral_radius
 from goi.logic.matricial import dual_witnesses_for
 from goi.measurement import (
     INDETERMINATE,
     DialectalOperator,
+    _weighted_log_sum,
     PseudoTrace,
     dial_labels,
     extended_pair,
@@ -257,3 +264,39 @@ def loop_traces_ok(op, tol):
             if li == lj and abs(op.mat[i, j]) > tol:
                 return False
     return True
+
+
+def masked_block_log_sum(one_minus, carrier, dialect, weights, absolute):
+    """``_block_log_sum`` with one ``slogdet`` per dialect block, each cut out by its mask."""
+    block = np.tile(np.asarray(dialect.assignment), len(carrier))
+    dets = []
+    for b in range(dialect.n_blocks()):
+        idx = np.flatnonzero(block == b)
+        dets.append((b, *np.linalg.slogdet(one_minus[np.ix_(idx, idx)])))
+    return _weighted_log_sum(dets, dialect, weights, absolute)
+
+
+def masked_check_dense(op, carrier, dialect):
+    """``DialectalOperator._check_dense`` through the mixing mask and one ``eigvalsh`` per masked block."""
+    tol = struct_tol()
+    if not op.is_hermitian(max(tol, 1e-9)):
+        raise CarrierError("dialectal operator must be hermitian")
+    block = np.tile(np.asarray(dialect.assignment), len(carrier))
+    if np.any(np.abs(op.mat[block[:, None] != block[None, :]]) > tol):
+        raise CarrierError("operator mixes dialect blocks")
+    for b in range(dialect.n_blocks()):
+        idx = np.flatnonzero(block == b)
+        if np.abs(np.linalg.eigvalsh(op.mat[np.ix_(idx, idx)])).max(initial=0.0) > 1.0 + NORM_SLACK:
+            raise CarrierError("dialectal operator must be a contraction")
+
+
+def loop_beta_decode(k):
+    """``beta_decode`` by halving k + 1 until it is odd."""
+    if k < 0:
+        raise ValueError("argument must be a natural number")
+    x = k + 1
+    n = 0
+    while x % 2 == 0:
+        x //= 2
+        n += 1
+    return n, (x - 1) // 2

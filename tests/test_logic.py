@@ -191,34 +191,57 @@ class TestOneSequentWalk:
         assert proof_variables(proof) == {"X1", "X2", "X3"}
         assert calls == [proof]
 
+    @staticmethod
+    def count_walks(monkeypatch) -> list:
+        """The proofs that ``subproof_sequents`` walks from now on, wherever goi calls it from."""
+        walked, walk = [], syntax.subproof_sequents
+
+        def counting_walk(p, *args):
+            walked.append(p)
+            return walk(p, *args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("goi") and getattr(module, "subproof_sequents", None) is walk:
+                monkeypatch.setattr(module, "subproof_sequents", counting_walk)
+        return walked
+
     def test_interpret_is_linear_in_the_tensor_width(self, tmp_path, monkeypatch):
         # counts, not clocks: operator constructions grow linearly in k, and the sequents are walked once
-        constructed, walks = [0], [0]
-        init, walk = PartialInjectionOp.__init__, syntax.subproof_sequents
+        constructed = [0]
+        init = PartialInjectionOp.__init__
 
         def counting_init(self, *args, **kwargs):
             constructed[0] += 1
             init(self, *args, **kwargs)
 
-        def counting_walk(*args):
-            walks[0] += 1
-            return walk(*args)
-
         monkeypatch.setattr(PartialInjectionOp, "__init__", counting_init)
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("goi") and getattr(module, "subproof_sequents", None) is walk:
-                monkeypatch.setattr(module, "subproof_sequents", counting_walk)
+        walks = self.count_walks(monkeypatch)
         counts = {}
         for k in (8, 16, 32):
             path = tmp_path / f"tensor-{k}.sexp"
             path.write_text(right_tensor(k), encoding="utf-8")
-            constructed[0] = walks[0] = 0
+            constructed[0] = 0
+            walks.clear()
             assert main(["interpret", str(path), "--out", str(tmp_path / "r.json")]) == 0
-            assert walks[0] == 1
+            assert len(walks) == 1
             counts[k] = constructed[0]
         # a k a + b count with b >= 0 at most doubles when k doubles; a fold that rebuilds its prefix grows as k^2
         assert counts[8] < counts[16] <= 2 * counts[8]
         assert counts[16] < counts[32] <= 2 * counts[16]
+
+    def test_goi1_interpret_walks_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "tensor-8.sexp"
+        path.write_text(right_tensor(8), encoding="utf-8")
+        walks = self.count_walks(monkeypatch)
+        assert main(["interpret", str(path), "--backend", "goi1", "--out", str(tmp_path / "r.json")]) == 0
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("name", ["compound-cut-deep", "deep-par"])
+    def test_soundness_check_walks_the_proof_once(self, monkeypatch, name):
+        proof = parse_proof(dict(corpus.MLL_CORPUS)[name])
+        walks = self.count_walks(monkeypatch)
+        assert soundness_check_mll(proof)
+        assert sum(p is proof for p in walks) == 1
 
 
 class TestNormalization:
