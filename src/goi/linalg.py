@@ -246,40 +246,17 @@ def plain_det(a: DenseOperator) -> complex:
     return complex(np.linalg.det(a.mat))
 
 
-def fk_det(a: DenseOperator, blocks: Sequence[tuple[int, float]] | None = None) -> float:
-    """Positive determinant exp(tr log |a|) for a given trace.
-
-    Without ``blocks`` the trace is the normalized one, so the result is
-    ``|det a| ** (1/n)``.  With ``blocks`` (a partition of the carrier
-    into contiguous runs with one weight each) the value is
-    ``prod_b |det a_b| ** (weight_b / size_b)``; the matrix must be
-    block diagonal for that partition.  Singular input yields 0.
+def fk_det(a: DenseOperator) -> float:
+    """Positive determinant exp(tr log |a|) for the normalized trace, i.e.
+    ``|det a| ** (1/n)``.  Singular input yields 0.
     """
     n = a.dim
     if n == 0:
         return 1.0
-    if blocks is None:
-        blocks = [(n, 1.0)]
-    if sum(size for size, _ in blocks) != n:
-        raise CarrierError("block sizes must partition the carrier")
-    if len(blocks) > 1:
-        mask = np.zeros((n, n), dtype=bool)
-        offset = 0
-        for size, _ in blocks:
-            mask[offset : offset + size, offset : offset + size] = True
-            offset += size
-        stray = float(np.max(np.abs(np.where(mask, 0.0, a.mat)))) if n else 0.0
-        if stray > 1e-7:
-            raise NumericError("matrix is not block diagonal for the given partition")
-    log_total = 0.0
-    offset = 0
-    for size, weight in blocks:
-        sign, logabs = np.linalg.slogdet(a.mat[offset : offset + size, offset : offset + size])
-        if sign == 0:
-            return 0.0
-        log_total += (weight / size) * logabs
-        offset += size
-    return math.exp(log_total)
+    sign, logabs = np.linalg.slogdet(a.mat)
+    if sign == 0:
+        return 0.0
+    return math.exp((1.0 / n) * logabs)
 
 
 def direct_sum(a: DenseOperator, b: DenseOperator) -> DenseOperator:

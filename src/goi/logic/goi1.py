@@ -14,7 +14,7 @@ from itertools import count
 from ..errors import UnsupportedRuleError
 from ..execution import ex_goi1
 from ..groupoid import PartialInjectionOp, Region
-from .locations import AddressSite, GoiPlan, allocate_goi1
+from .locations import AddressSite, GoiPlan, allocate_goi1, premise_sites
 from .rewrite import normalize_mll
 from .syntax import (
     Ax,
@@ -25,7 +25,7 @@ from .syntax import (
     TensorRule,
     dual,
     leaf_paths,
-    par_positions,
+    premises,
     subproof_sequents,
 )
 
@@ -52,56 +52,22 @@ class _Links:
         self.axioms: list[tuple] = []
         self.matchers: list[tuple] = []
 
-    def sequent(self, node: ProofTree) -> tuple:
-        return self.sequents[id(node)]
-
 
 def _interpret(node: ProofTree, sites: list[AddressSite], links: _Links) -> None:
     if isinstance(node, Ax):
-        a, b = sites
-        links.axioms.extend(_link(a, b))
-    elif isinstance(node, Par):
-        s = links.sequent(node.premise)
-        layout = par_positions(len(s), node.i, node.j)
-        pf = sites[min(node.i, node.j)]
-        conc_pos = {prem: k for k, prem in enumerate(layout) if prem is not None}
-        prem_sites: list[AddressSite] = []
-        for k in range(len(s)):
-            if k == node.i:
-                prem_sites.append(pf.left())
-            elif k == node.j:
-                prem_sites.append(pf.right())
-            else:
-                prem_sites.append(sites[conc_pos[k]])
-        _interpret(node.premise, prem_sites, links)
-    elif isinstance(node, TensorRule):
-        n1 = len(links.sequent(node.left)) - 1
-        t = sites[0]
-        _interpret(node.left, [t.left()] + sites[1 : 1 + n1], links)
-        _interpret(node.right, [t.right()] + sites[1 + n1 :], links)
-    elif isinstance(node, Cut):
-        slot = next(links.cuts)
-        s1 = links.sequent(node.left)
-        s2 = links.sequent(node.right)
-        i1 = s1.index(node.formula)
-        i2 = s2.index(dual(node.formula))
-        n1 = len(s1) - 1
-        site_a = AddressSite("R", slot, node.formula)
-        site_b = AddressSite("L", slot, dual(node.formula))
-        sites1 = sites[:n1]
-        sites1 = sites1[:i1] + [site_a] + sites1[i1:]
-        sites2 = sites[n1:]
-        sites2 = sites2[:i2] + [site_b] + sites2[i2:]
-        _interpret(node.left, sites1, links)
-        _interpret(node.right, sites2, links)
-        links.matchers.extend(_matcher("R", "L", slot, node.formula))
-    elif isinstance(node, Exchange):
-        prem_sites: list[AddressSite | None] = [None] * len(node.perm)
-        for k, t in enumerate(node.perm):
-            prem_sites[t] = sites[k]
-        _interpret(node.premise, prem_sites, links)
-    else:
+        links.axioms.extend(_link(*sites))
+        return
+    if not isinstance(node, (Par, TensorRule, Cut, Exchange)):
         raise UnsupportedRuleError(f"{type(node).__name__} is outside the multiplicative fragment")
+    cut = None
+    if isinstance(node, Cut):
+        # a private basis copy per cut, numbered in the order the walk meets the cuts
+        slot = next(links.cuts)
+        cut = AddressSite("R", slot, node.formula), AddressSite("L", slot, dual(node.formula))
+    for q, q_sites in zip(premises(node), premise_sites(node, sites, links.sequents, cut)):
+        _interpret(q, q_sites, links)
+    if cut is not None:
+        links.matchers.extend(_matcher("R", "L", slot, node.formula))
 
 
 def interpret_mll_goi1(

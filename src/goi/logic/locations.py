@@ -10,6 +10,9 @@ Carrier backend: every occurrence receives fresh integer locations, one
 block per variable leaf, with a delocation from the variable's primitive
 carrier.  The two sides of a cut share one carrier (dual leaves share
 locations); the premises of a with share their context carrier.
+
+Both backends hand a rule's conclusion sites to its premises through
+``premise_sites``; only the sites a cut adds differ between them.
 """
 
 from __future__ import annotations
@@ -22,12 +25,19 @@ from ..projects import Delocation
 from .syntax import (
     Cut,
     DualVar,
+    Exchange,
     Formula,
+    Par,
+    PlusL,
+    PlusR,
     ProofTree,
+    TensorRule,
     Top,
     Var,
+    With,
     Zero,
-    premises,
+    dual,
+    par_positions,
     proof_variables,
     sequent_of,
     subproof_sequents,
@@ -98,7 +108,6 @@ class CarrierSite:
 @dataclass(frozen=True)
 class MatPlan:
     sites: tuple[CarrierSite, ...]
-    cut_sites: tuple  # per cut (DFS order): (site_A, site_dual_A) sharing locations
 
 
 def _allocate_formula(f: Formula, basis, counter) -> CarrierSite:
@@ -125,6 +134,12 @@ def _dual_site(site: CarrierSite, f: Formula) -> CarrierSite:
     return CarrierSite(f, site.locations, (left, right))
 
 
+def cut_carrier_sites(formula: Formula, basis, counter) -> tuple[CarrierSite, CarrierSite]:
+    """Fresh locations from ``counter`` for a cut formula, and its dual's site on the same locations."""
+    site_a = _allocate_formula(formula, basis, counter)
+    return site_a, _dual_site(site_a, dual(formula))
+
+
 def allocate_matricial(proof: ProofTree, basis, sequents: dict[int, tuple] | None = None) -> MatPlan:
     """The carrier plan of a proof; ``sequents`` is its ``subproof_sequents``, computed here when not given."""
     sequents = subproof_sequents(proof) if sequents is None else sequents
@@ -132,17 +147,45 @@ def allocate_matricial(proof: ProofTree, basis, sequents: dict[int, tuple] | Non
     if missing:
         raise MissingVariableError(f"basis lacks variables: {', '.join(missing)}")
     counter = count(0)
-    sites = tuple(_allocate_formula(f, basis, counter) for f in sequents[id(proof)])
-    cut_sites = []
+    return MatPlan(tuple(_allocate_formula(f, basis, counter) for f in sequents[id(proof)]))
 
-    def walk(node: ProofTree):
-        if isinstance(node, Cut):
-            site_a = _allocate_formula(node.formula, basis, counter)
-            from .syntax import dual
 
-            cut_sites.append((site_a, _dual_site(site_a, dual(node.formula))))
-        for q in premises(node):
-            walk(q)
+# ----------------------------------------------------------------------
+# Routing (both backends)
 
-    walk(proof)
-    return MatPlan(sites, tuple(cut_sites))
+
+def premise_sites(node: ProofTree, sites: list, sequents: dict[int, tuple], cut: tuple | None = None) -> tuple[list, ...]:
+    """The sites of each premise of ``node``, in ``premises(node)`` order, from the sites of its conclusion.
+
+    ``sequents`` is the proof's ``subproof_sequents``.  At a cut, ``cut``
+    holds the sites of the cut formula and of its dual, which each
+    backend allocates itself.  An axiom or ``top`` has no premise.
+    """
+    if isinstance(node, Par):
+        premise = [None] * len(sequents[id(node.premise)])
+        for site, k in zip(sites, par_positions(len(premise), node.i, node.j)):
+            if k is None:
+                premise[node.i], premise[node.j] = site.left(), site.right()
+            else:
+                premise[k] = site
+        return (premise,)
+    if isinstance(node, Exchange):
+        premise = [None] * len(node.perm)
+        for site, t in zip(sites, node.perm):
+            premise[t] = site
+        return (premise,)
+    if isinstance(node, TensorRule):
+        n1 = len(sequents[id(node.left)]) - 1
+        head = sites[0]
+        return [head.left()] + sites[1 : 1 + n1], [head.right()] + sites[1 + n1 :]
+    if isinstance(node, Cut):
+        s1 = sequents[id(node.left)]
+        i1, i2 = s1.index(node.formula), sequents[id(node.right)].index(dual(node.formula))
+        left, right = sites[: len(s1) - 1], sites[len(s1) - 1 :]
+        return left[:i1] + [cut[0]] + left[i1:], right[:i2] + [cut[1]] + right[i2:]
+    if isinstance(node, (PlusL, PlusR, With)):
+        head, rest = sites[0], sites[1:]
+        if isinstance(node, With):
+            return [head.left()] + rest, [head.right()] + rest
+        return ([head.left() if isinstance(node, PlusL) else head.right()] + rest,)
+    return ()

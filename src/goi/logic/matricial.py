@@ -2,10 +2,10 @@
 
 Every rule builds on the project algebra: axioms become faxes, tensors
 disjoint unions, cuts plugs over a shared carrier, plus rules carrier
-extensions, with rules halved superpositions, and the top rule the
-trivial project.  Conduct membership is tested against finite witness
-sets generated from an interpretation basis: a family of projects (and
-duals) per variable on a private primitive carrier.
+extensions, with rules halved superpositions, and the top rule the empty
+table on its carrier.  Conduct membership is tested against finite
+witness sets generated from an interpretation basis: a family of
+projects (and duals) per variable on a private primitive carrier.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from ..projects import (
     sum_lambda,
     tensor_project,
     with_bar,
-    zero_project,
 )
-from .locations import CarrierSite, MatPlan, allocate_matricial
+from .locations import CarrierSite, MatPlan, allocate_matricial, cut_carrier_sites, premise_sites
 from .syntax import (
     Ax,
     Bin,
@@ -53,7 +52,7 @@ from .syntax import (
     Zero,
     _Reader,
     _is_atom,
-    par_positions,
+    premises,
     subproof_sequents,
 )
 
@@ -254,82 +253,43 @@ def parse_basis(text: str) -> InterpretationBasis:
 # Interpretation
 
 
-def _interpret(node: ProofTree, sites: list[CarrierSite], cuts: list, basis: InterpretationBasis, sequents: dict) -> Project:
+def _interpret(node: ProofTree, sites: list[CarrierSite], sequents: dict, cut_sites) -> Project:
+    """The project of ``node`` on its conclusion ``sites``; ``cut_sites(formula)`` allocates a cut's two sites."""
     if isinstance(node, Ax):
         a, b = sites
         return build_fax(a.delocation, b.delocation)
-    if isinstance(node, Par):
-        s = sequents[id(node.premise)]
-        layout = par_positions(len(s), node.i, node.j)
-        pf = sites[min(node.i, node.j)]
-        conc_pos = {prem: k for k, prem in enumerate(layout) if prem is not None}
-        prem_sites = []
-        for k in range(len(s)):
-            if k == node.i:
-                prem_sites.append(pf.left())
-            elif k == node.j:
-                prem_sites.append(pf.right())
-            else:
-                prem_sites.append(sites[conc_pos[k]])
-        return _interpret(node.premise, prem_sites, cuts, basis, sequents)
-    if isinstance(node, TensorRule):
-        s1 = sequents[id(node.left)]
-        n1 = len(s1) - 1
-        t = sites[0]
-        f1 = _interpret(node.left, [t.left()] + sites[1 : 1 + n1], cuts, basis, sequents)
-        f2 = _interpret(node.right, [t.right()] + sites[1 + n1 :], cuts, basis, sequents)
-        return tensor_project(f1, f2)
-    if isinstance(node, Cut):
-        site_a, site_b = cuts.pop(0)
-        s1 = sequents[id(node.left)]
-        s2 = sequents[id(node.right)]
-        i1 = s1.index(node.formula)
-        i2 = s2.index(_dual_formula(node.formula))
-        n1 = len(s1) - 1
-        sites1 = sites[:n1]
-        sites1 = sites1[:i1] + [site_a] + sites1[i1:]
-        sites2 = sites[n1:]
-        sites2 = sites2[:i2] + [site_b] + sites2[i2:]
-        f1 = _interpret(node.left, sites1, cuts, basis, sequents)
-        f2 = _interpret(node.right, sites2, cuts, basis, sequents)
-        return plug_project(f1, f2)
-    if isinstance(node, PlusL):
-        site = sites[0]
-        f = _interpret(node.premise, [site.left()] + sites[1:], cuts, basis, sequents)
-        return extend_carrier(f, site.right().locations)
-    if isinstance(node, PlusR):
-        site = sites[0]
-        f = _interpret(node.premise, [site.right()] + sites[1:], cuts, basis, sequents)
-        return extend_carrier(f, site.left().locations)
-    if isinstance(node, With):
-        site = sites[0]
-        f1 = _interpret(node.left, [site.left()] + sites[1:], cuts, basis, sequents)
-        f2 = _interpret(node.right, [site.right()] + sites[1:], cuts, basis, sequents)
-        return with_bar(f1, f2)
     if isinstance(node, TopRule):
         carrier = tuple(loc for s in sites for loc in s.locations)
-        return zero_project(carrier)
-    if isinstance(node, Exchange):
-        prem_sites = [None] * len(node.perm)
-        for k, t in enumerate(node.perm):
-            prem_sites[t] = sites[k]
-        return _interpret(node.premise, prem_sites, cuts, basis, sequents)
+        return Project(0.0, DialectalOperator(carrier, TRIVIAL_DIALECT, UNIT_TRACE, PartialInjectionOp()))
+    cut = cut_sites(node.formula) if isinstance(node, Cut) else None
+    parts = [_interpret(q, s, sequents, cut_sites) for q, s in zip(premises(node), premise_sites(node, sites, sequents, cut))]
+    if isinstance(node, (Par, Exchange)):
+        return parts[0]
+    if isinstance(node, TensorRule):
+        return tensor_project(*parts)
+    if isinstance(node, Cut):
+        return plug_project(*parts)
+    if isinstance(node, PlusL):
+        return extend_carrier(parts[0], sites[0].right().locations)
+    if isinstance(node, PlusR):
+        return extend_carrier(parts[0], sites[0].left().locations)
+    if isinstance(node, With):
+        return with_bar(*parts)
     raise CarrierError(f"unknown node {node!r}")
-
-
-def _dual_formula(f):
-    from .syntax import dual
-
-    return dual(f)
 
 
 def interpret_mall_matricial(
     proof: ProofTree, basis: InterpretationBasis, plan: MatPlan | None = None, sequents: dict[int, tuple] | None = None
 ) -> Project:
-    """Project interpretation of an additive-multiplicative proof; ``sequents`` is its ``subproof_sequents``."""
+    """Project interpretation of an additive-multiplicative proof; ``sequents`` is its ``subproof_sequents``.
+
+    A cut's locations are allocated where the walk meets it, counting on
+    from the conclusion's: the cuts are numbered in pre-order.
+    """
     sequents = subproof_sequents(proof) if sequents is None else sequents
     plan = plan if plan is not None else allocate_matricial(proof, basis, sequents)
-    return _interpret(proof, list(plan.sites), list(plan.cut_sites), basis, sequents)
+    counter = itertools.count(sum(len(s.locations) for s in plan.sites))
+    return _interpret(proof, list(plan.sites), sequents, lambda f: cut_carrier_sites(f, basis, counter))
 
 
 # ----------------------------------------------------------------------

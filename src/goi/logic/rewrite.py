@@ -24,6 +24,7 @@ from .syntax import (
     TopRule,
     With,
     dual,
+    par_positions,
     sequent_of,
 )
 
@@ -150,7 +151,7 @@ def _commute_left(A, i1: int, p1: ProofTree, i2: int, p2: ProofTree) -> ProofTre
         return TensorRule(p1.left, r)
 
     if isinstance(p1, Par):
-        layout = _par_layout(len(sequent_of(p1.premise)), p1.i, p1.j)
+        layout = par_positions(len(sequent_of(p1.premise)), p1.i, p1.j)
         inner_pos = layout[i1]
         r = _eliminate(A, inner_pos, p1.premise, i2, p2)
         i_new = p1.i - (1 if inner_pos < p1.i else 0)
@@ -159,13 +160,3 @@ def _commute_left(A, i1: int, p1: ProofTree, i2: int, p2: ProofTree) -> ProofTre
 
     raise UnsupportedRuleError(f"cannot commute a cut over {type(p1).__name__}")
 
-
-def _par_layout(n_premise: int, i: int, j: int) -> list[int | None]:
-    out: list[int | None] = []
-    m = min(i, j)
-    for k in range(n_premise):
-        if k == m:
-            out.append(None)
-        if k not in (i, j):
-            out.append(k)
-    return out

@@ -149,8 +149,6 @@ class Exchange:
 
 
 ProofTree = Union[Ax, Cut, Par, TensorRule, PlusL, PlusR, With, TopRule, Exchange]
-# external alias used in the docs and the CLI
-Tensor = TensorRule
 
 
 def premises(p: ProofTree) -> tuple:
@@ -227,13 +225,7 @@ def _conclusion(p: ProofTree, prem: list[tuple], path: tuple) -> tuple:
         if p.i == p.j or not (0 <= p.i < n) or not (0 <= p.j < n):
             raise RuleApplicationError(f"par indices ({p.i}, {p.j}) out of range", rule="Par", path=path)
         pf = Bin("par", s[p.i], s[p.j])
-        out = []
-        for k in range(n):
-            if k == min(p.i, p.j):
-                out.append(pf)
-            if k not in (p.i, p.j):
-                out.append(s[k])
-        return tuple(out)
+        return tuple(pf if k is None else s[k] for k in par_positions(n, p.i, p.j))
     if isinstance(p, PlusL):
         (s,) = prem
         if not s:

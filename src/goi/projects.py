@@ -190,20 +190,6 @@ def extend_carrier(a: Project, extra) -> Project:
     return Project(a.wager, a.dialectal.on_carrier(carrier))
 
 
-def restrict_project(a: Project, carrier) -> Project:
-    """Forget zero-padded locations again (round-trip partner of extend)."""
-    carrier = tuple(carrier)
-    d = a.dialectal
-    if d.is_symbolic:
-        for src, (dst, _) in d.op.table.items():
-            if src.value not in set(carrier) or dst.value not in set(carrier):
-                raise CarrierError("restriction would truncate the operator")
-        return Project(a.wager, DialectalOperator(carrier, d.dialect, d.pseudo_trace, d.op))
-    labels = dial_labels(carrier, d.dialect.dim)
-    mat = d.dense_payload().restrict(labels)
-    return Project(a.wager, DialectalOperator(carrier, d.dialect, d.pseudo_trace, mat))
-
-
 def scale_project(lam: float, a: Project) -> Project:
     """Pseudo-trace scaling: every measurement against it scales by lambda."""
     if lam == 0:

@@ -18,6 +18,7 @@ from goi.linalg import (
     spectral_radius,
     tensor,
 )
+from goi.measurement import Dialect, PseudoTrace, _block_log_sum
 
 from conftest import hermitian_contraction
 
@@ -269,9 +270,9 @@ class TestDeterminants:
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
     def test_fk_weighted_blocks(self):
-        m = DenseOperator.diagonal((0, 1, 2), [2.0, 3.0, 3.0])
-        # one size-1 block weight 1, one size-2 block weight 0.5
-        got = fk_det(m, blocks=[(1, 1.0), (2, 0.5)])
+        # the block-weighted determinant is the measurement's: one size-1 block weight 1, one size-2 block weight 0.5
+        m = np.diag([2.0, 3.0, 3.0])
+        got = math.exp(-_block_log_sum(m, (0,), Dialect((1, 2)), PseudoTrace((1.0, 0.5)), absolute=True))
         assert got == pytest.approx(2.0 * 9.0 ** (0.5 / 2))
 
     def test_nilpotent_polynomial_stays_nilpotent(self, rng):

@@ -17,7 +17,7 @@ from goi.errors import (
 from goi.cli import main
 from goi.groupoid import Idx, PartialInjectionOp, Region, adjoint, axiom_swap, compose, nilpotency, sum_disjoint
 from goi.execution import ex_goi1
-from goi.logic import corpus, syntax
+from goi.logic import corpus, goi1, locations, matricial, syntax
 from goi.logic.goi1 import interpret_mll_goi1, soundness_check_mll
 from goi.logic.locations import allocate_goi1, allocate_matricial, comb_words
 from goi.logic.matricial import (
@@ -349,6 +349,13 @@ class TestMatricialInterpretation:
         assert proj.dialectal.dense_payload().max_abs_diff(proj.dialectal.dense_payload()) == 0.0
         assert is_promising(proj).all_pass
 
+    @pytest.mark.parametrize("text", ["(cut (dual X1) (ax X1) (top X1))", "(top X1 (dual X2))", "(with (top X1) (top X1))"])
+    def test_top_is_the_empty_table(self, text):
+        # a cut against top is plugged exactly: no dense payload anywhere
+        proj = interpret_mall_matricial(parse_proof(text), default_basis())
+        assert proj.dialectal.is_symbolic
+        assert not proj.op.table
+
     def test_missing_variable(self):
         basis = default_basis()
         with pytest.raises(MissingVariableError):
@@ -392,6 +399,82 @@ class TestMatricialInterpretation:
         assert is_promising(proj).all_pass
         rows = orthogonal_witness_suite(proj, sequent_dual_witnesses(plan, basis))
         assert rows and all(r.verdict == "orthogonal" for r in rows)
+
+
+def cut_chain(n: int, seed: int):
+    """n cuts between identity axioms on X1, each on a random side and on X1 or its dual."""
+    rng = np.random.default_rng(seed)
+    proof = Ax("X1")
+    for _ in range(n):
+        f = Var("X1") if rng.random() < 0.5 else DualVar("X1")
+        proof = Cut(f, proof, Ax("X1")) if rng.random() < 0.5 else Cut(f, Ax("X1"), proof)
+    return proof
+
+
+def with_tower(depth: int) -> str:
+    text = "(with (ax X1) (ax X1))"
+    for i in range(1, depth):
+        text = f"(tensor (with (ax X{1 + i % 2}) (ax X{1 + i % 2})) {text})"
+    return text
+
+
+def preorder(proof) -> list:
+    out, stack = [], [proof]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(reversed(premises(node)))
+    return out
+
+
+class TestSiteRouting:
+    """``premise_sites`` hands every premise exactly its sequent, on both backends."""
+
+    MLL = [parse_proof(t) for _, t in corpus.MLL_CORPUS] + [cut_chain(n, seed) for n, seed in ((1, 0), (4, 1), (16, 2))]
+    MALL = MLL + [parse_proof(t) for _, t in corpus.MALL_CORPUS] + [parse_proof(with_tower(d)) for d in (1, 3)]
+
+    @staticmethod
+    def record(monkeypatch, module) -> list:
+        """The (node, conclusion sites, cut sites, premise sites) of every call the module makes."""
+        calls, route = [], locations.premise_sites
+
+        def recording(node, sites, sequents, cut=None):
+            out = route(node, sites, sequents, cut)
+            calls.append((node, sites, cut, out))
+            assert [s.formula for s in sites] == list(sequents[id(node)])
+            for q, ps in zip(premises(node), out, strict=True):
+                assert [s.formula for s in ps] == list(sequents[id(q)])
+            return out
+
+        monkeypatch.setattr(module, "premise_sites", recording)
+        return calls
+
+    @pytest.mark.parametrize("k", range(len(MLL)))
+    def test_goi1_routes_every_rule(self, monkeypatch, k):
+        proof = self.MLL[k]
+        calls = self.record(monkeypatch, goi1)
+        plan = allocate_goi1(proof)
+        interpret_mll_goi1(proof, plan)
+        assert [id(c[0]) for c in calls] == [id(n) for n in preorder(proof) if premises(n)]
+        cuts = [cut for _, _, cut, _ in calls if cut is not None]
+        assert all(a.word == "R" and b.word == "L" and a.slot == b.slot for a, b in cuts)
+        assert [a.slot for a, _ in cuts] == list(range(1, len(cuts) + 1))
+        assert {s.slot for s in plan.sites} == {0}
+
+    @pytest.mark.parametrize("k", range(len(MALL)))
+    def test_matricial_routes_every_rule(self, monkeypatch, k):
+        proof, basis = self.MALL[k], default_basis()
+        calls = self.record(monkeypatch, matricial)
+        plan = allocate_matricial(proof, basis)
+        interpret_mall_matricial(proof, basis, plan)
+        assert [id(c[0]) for c in calls] == [id(n) for n in preorder(proof) if premises(n)]
+        cuts = [cut for _, _, cut, _ in calls if cut is not None]
+        assert all(a.locations == b.locations for a, b in cuts)
+        # the cut locations continue the conclusion's numbering, cut after cut in pre-order, none shared
+        conclusion = [loc for s in plan.sites for loc in s.locations]
+        assert conclusion == list(range(len(conclusion)))
+        cut_locations = [loc for a, _ in cuts for loc in a.locations]
+        assert cut_locations == list(range(len(conclusion), len(conclusion) + len(cut_locations)))
 
 
 class TestSequentDualWitnesses:
