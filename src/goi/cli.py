@@ -125,7 +125,7 @@ def cmd_interpret(args) -> int:
     from .logic.goi1 import interpret_mll_goi1
     from .logic.locations import allocate_goi1, allocate_matricial
     from .logic.matricial import default_basis, interpret_mall_matricial, parse_basis, sequent_dual_witnesses
-    from .logic.syntax import fmt, parse_proof, subproof_sequents
+    from .logic.syntax import check_proof, fmt, parse_proof
     from .groupoid import compose, nilpotency
     from .projects import is_promising, orthogonal_witness_suite
 
@@ -136,9 +136,8 @@ def cmd_interpret(args) -> int:
         return EXIT_CONFIG
     try:
         proof = parse_proof(text)
-        # every rule checked once; allocation and interpretation read the same sequents
-        sequents = subproof_sequents(proof)
-        sequent = sequents[id(proof)]
+        # every rule checked once: each node keeps its conclusion for allocation and interpretation
+        sequent = check_proof(proof)
     except ProofSyntaxError as exc:
         _emit({"schema": SCHEMA, "command": "interpret", "status": "syntax-error", "error": str(exc)}, args.out)
         return EXIT_SYNTAX
@@ -148,8 +147,8 @@ def cmd_interpret(args) -> int:
 
     if args.backend == "goi1":
         try:
-            plan = allocate_goi1(proof, sequents)
-            pi, sigma = interpret_mll_goi1(proof, plan, sequents)
+            plan = allocate_goi1(proof)
+            pi, sigma = interpret_mll_goi1(proof, plan)
         except GoiError as exc:
             _emit({"schema": SCHEMA, "command": "interpret", "status": "error", "error": str(exc)}, args.out)
             return EXIT_CONFIG
@@ -185,8 +184,8 @@ def cmd_interpret(args) -> int:
         print(f"config-error: bad basis: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        plan = allocate_matricial(proof, basis, sequents)
-        project = interpret_mall_matricial(proof, basis, plan, sequents)
+        plan = allocate_matricial(proof, basis)
+        project = interpret_mall_matricial(proof, basis, plan)
     except MissingVariableError as exc:
         _emit({"schema": SCHEMA, "command": "interpret", "status": "config-error", "error": str(exc)}, args.out)
         return EXIT_CONFIG

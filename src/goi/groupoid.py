@@ -457,8 +457,8 @@ def axiom_swap() -> PartialInjectionOp:
 
 
 def is_partial_symmetry(u: PartialInjectionOp) -> bool:
-    """u = u* and u^3 = u, decided exactly on the canonical forms."""
-    return u == adjoint(u) and compose(compose(u, u), u) == u
+    """u = u*, decided exactly on the canonical forms; a partial isometry u then has u^3 = u u* u = u."""
+    return u == adjoint(u)
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .syntax import (
     dual,
     leaf_paths,
     premises,
-    subproof_sequents,
+    sequent_of,
 )
 
 
@@ -46,8 +46,7 @@ def _matcher(word_a: str, word_b: str, slot: int, formula) -> list[tuple]:
 class _Links:
     """What the interpretation collects: the monomials of the axiom links and of the cut links."""
 
-    def __init__(self, sequents: dict[int, tuple]):
-        self.sequents = sequents
+    def __init__(self):
         self.cuts = count(1)
         self.axioms: list[tuple] = []
         self.matchers: list[tuple] = []
@@ -64,32 +63,28 @@ def _interpret(node: ProofTree, sites: list[AddressSite], links: _Links) -> None
         # a private basis copy per cut, numbered in the order the walk meets the cuts
         slot = next(links.cuts)
         cut = AddressSite("R", slot, node.formula), AddressSite("L", slot, dual(node.formula))
-    for q, q_sites in zip(premises(node), premise_sites(node, sites, links.sequents, cut)):
+    for q, q_sites in zip(premises(node), premise_sites(node, sites, cut)):
         _interpret(q, q_sites, links)
     if cut is not None:
         links.matchers.extend(_matcher("R", "L", slot, node.formula))
 
 
-def interpret_mll_goi1(
-    proof: ProofTree, plan: GoiPlan | None = None, sequents: dict[int, tuple] | None = None
-) -> tuple[PartialInjectionOp, PartialInjectionOp]:
-    """Axiom-link and cut-link partial symmetries of a multiplicative proof; ``sequents`` is its ``subproof_sequents``."""
-    sequents = subproof_sequents(proof) if sequents is None else sequents
-    plan = plan if plan is not None else allocate_goi1(proof, sequents)
-    links = _Links(sequents)
+def interpret_mll_goi1(proof: ProofTree, plan: GoiPlan | None = None) -> tuple[PartialInjectionOp, PartialInjectionOp]:
+    """Axiom-link and cut-link partial symmetries of a multiplicative proof."""
+    sequent_of(proof)  # every rule checked before the walk reads the conclusions
+    plan = plan if plan is not None else allocate_goi1(proof)
+    links = _Links()
     _interpret(proof, list(plan.sites), links)
     return PartialInjectionOp.cylinders(links.axioms), PartialInjectionOp.cylinders(links.matchers)
 
 
 def soundness_check_mll(proof: ProofTree) -> bool:
     """Execution of the interpretation equals the normal form's, bit-exact."""
-    sequents = subproof_sequents(proof)
-    plan = allocate_goi1(proof, sequents)
-    pi, sigma = interpret_mll_goi1(proof, plan, sequents)
+    plan = allocate_goi1(proof)
+    pi, sigma = interpret_mll_goi1(proof, plan)
     executed = ex_goi1(pi, sigma, Region.from_support(sigma))
     normal = normalize_mll(proof)
-    normal_sequents = subproof_sequents(normal)
-    if normal_sequents[id(normal)] != sequents[id(proof)]:
+    if sequent_of(normal) != sequent_of(proof):
         return False
-    pi_n, sigma_n = interpret_mll_goi1(normal, plan, normal_sequents)
+    pi_n, sigma_n = interpret_mll_goi1(normal, plan)
     return sigma_n.is_zero() and executed == pi_n

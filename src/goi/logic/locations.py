@@ -40,7 +40,6 @@ from .syntax import (
     par_positions,
     proof_variables,
     sequent_of,
-    subproof_sequents,
 )
 
 
@@ -80,9 +79,9 @@ class GoiPlan:
         return GoiPlan(tuple(AddressSite(w, 0, f) for w, f in zip(words, sequent)))
 
 
-def allocate_goi1(proof: ProofTree, sequents: dict[int, tuple] | None = None) -> GoiPlan:
-    """The address plan of a proof; ``sequents`` is its ``subproof_sequents``, computed here when not given."""
-    return GoiPlan.for_sequent(sequent_of(proof) if sequents is None else sequents[id(proof)])
+def allocate_goi1(proof: ProofTree) -> GoiPlan:
+    """The address plan of a proof."""
+    return GoiPlan.for_sequent(sequent_of(proof))
 
 
 # ----------------------------------------------------------------------
@@ -140,29 +139,27 @@ def cut_carrier_sites(formula: Formula, basis, counter) -> tuple[CarrierSite, Ca
     return site_a, _dual_site(site_a, dual(formula))
 
 
-def allocate_matricial(proof: ProofTree, basis, sequents: dict[int, tuple] | None = None) -> MatPlan:
-    """The carrier plan of a proof; ``sequents`` is its ``subproof_sequents``, computed here when not given."""
-    sequents = subproof_sequents(proof) if sequents is None else sequents
-    missing = sorted(v for v in proof_variables(proof, sequents) if not basis.covers(v))
+def allocate_matricial(proof: ProofTree, basis) -> MatPlan:
+    """The carrier plan of a proof."""
+    missing = sorted(v for v in proof_variables(proof) if not basis.covers(v))
     if missing:
         raise MissingVariableError(f"basis lacks variables: {', '.join(missing)}")
     counter = count(0)
-    return MatPlan(tuple(_allocate_formula(f, basis, counter) for f in sequents[id(proof)]))
+    return MatPlan(tuple(_allocate_formula(f, basis, counter) for f in sequent_of(proof)))
 
 
 # ----------------------------------------------------------------------
 # Routing (both backends)
 
 
-def premise_sites(node: ProofTree, sites: list, sequents: dict[int, tuple], cut: tuple | None = None) -> tuple[list, ...]:
+def premise_sites(node: ProofTree, sites: list, cut: tuple | None = None) -> tuple[list, ...]:
     """The sites of each premise of ``node``, in ``premises(node)`` order, from the sites of its conclusion.
 
-    ``sequents`` is the proof's ``subproof_sequents``.  At a cut, ``cut``
-    holds the sites of the cut formula and of its dual, which each
-    backend allocates itself.  An axiom or ``top`` has no premise.
+    At a cut, ``cut`` holds the sites of the cut formula and of its dual,
+    which each backend allocates itself; an axiom or ``top`` has no premise.
     """
     if isinstance(node, Par):
-        premise = [None] * len(sequents[id(node.premise)])
+        premise = [None] * len(sequent_of(node.premise))
         for site, k in zip(sites, par_positions(len(premise), node.i, node.j)):
             if k is None:
                 premise[node.i], premise[node.j] = site.left(), site.right()
@@ -175,12 +172,12 @@ def premise_sites(node: ProofTree, sites: list, sequents: dict[int, tuple], cut:
             premise[t] = site
         return (premise,)
     if isinstance(node, TensorRule):
-        n1 = len(sequents[id(node.left)]) - 1
+        n1 = len(sequent_of(node.left)) - 1
         head = sites[0]
         return [head.left()] + sites[1 : 1 + n1], [head.right()] + sites[1 + n1 :]
     if isinstance(node, Cut):
-        s1 = sequents[id(node.left)]
-        i1, i2 = s1.index(node.formula), sequents[id(node.right)].index(dual(node.formula))
+        s1 = sequent_of(node.left)
+        i1, i2 = s1.index(node.formula), sequent_of(node.right).index(dual(node.formula))
         left, right = sites[: len(s1) - 1], sites[len(s1) - 1 :]
         return left[:i1] + [cut[0]] + left[i1:], right[:i2] + [cut[1]] + right[i2:]
     if isinstance(node, (PlusL, PlusR, With)):

@@ -53,7 +53,7 @@ from .syntax import (
     _Reader,
     _is_atom,
     premises,
-    subproof_sequents,
+    sequent_of,
 )
 
 # ----------------------------------------------------------------------
@@ -253,7 +253,7 @@ def parse_basis(text: str) -> InterpretationBasis:
 # Interpretation
 
 
-def _interpret(node: ProofTree, sites: list[CarrierSite], sequents: dict, cut_sites) -> Project:
+def _interpret(node: ProofTree, sites: list[CarrierSite], cut_sites) -> Project:
     """The project of ``node`` on its conclusion ``sites``; ``cut_sites(formula)`` allocates a cut's two sites."""
     if isinstance(node, Ax):
         a, b = sites
@@ -262,7 +262,7 @@ def _interpret(node: ProofTree, sites: list[CarrierSite], sequents: dict, cut_si
         carrier = tuple(loc for s in sites for loc in s.locations)
         return Project(0.0, DialectalOperator(carrier, TRIVIAL_DIALECT, UNIT_TRACE, PartialInjectionOp()))
     cut = cut_sites(node.formula) if isinstance(node, Cut) else None
-    parts = [_interpret(q, s, sequents, cut_sites) for q, s in zip(premises(node), premise_sites(node, sites, sequents, cut))]
+    parts = [_interpret(q, s, cut_sites) for q, s in zip(premises(node), premise_sites(node, sites, cut))]
     if isinstance(node, (Par, Exchange)):
         return parts[0]
     if isinstance(node, TensorRule):
@@ -278,18 +278,16 @@ def _interpret(node: ProofTree, sites: list[CarrierSite], sequents: dict, cut_si
     raise CarrierError(f"unknown node {node!r}")
 
 
-def interpret_mall_matricial(
-    proof: ProofTree, basis: InterpretationBasis, plan: MatPlan | None = None, sequents: dict[int, tuple] | None = None
-) -> Project:
-    """Project interpretation of an additive-multiplicative proof; ``sequents`` is its ``subproof_sequents``.
+def interpret_mall_matricial(proof: ProofTree, basis: InterpretationBasis, plan: MatPlan | None = None) -> Project:
+    """Project interpretation of an additive-multiplicative proof.
 
     A cut's locations are allocated where the walk meets it, counting on
     from the conclusion's: the cuts are numbered in pre-order.
     """
-    sequents = subproof_sequents(proof) if sequents is None else sequents
-    plan = plan if plan is not None else allocate_matricial(proof, basis, sequents)
+    sequent_of(proof)  # every rule checked before the walk reads the conclusions
+    plan = plan if plan is not None else allocate_matricial(proof, basis)
     counter = itertools.count(sum(len(s.locations) for s in plan.sites))
-    return _interpret(proof, list(plan.sites), sequents, lambda f: cut_carrier_sites(f, basis, counter))
+    return _interpret(proof, list(plan.sites), lambda f: cut_carrier_sites(f, basis, counter))
 
 
 # ----------------------------------------------------------------------

@@ -171,30 +171,29 @@ def par_positions(n_premise: int, i: int, j: int) -> list[int | None]:
     return out
 
 
-def sequent_of(p: ProofTree, path: tuple = ()) -> tuple:
-    """Conclusion sequent, validating every rule application on the way."""
-    return subproof_sequents(p, path)[id(p)]
+_SEQUENT = "_sequent"  # a checked node's conclusion, in its __dict__ beside the dataclass fields
 
 
-def subproof_sequents(p: ProofTree, path: tuple = ()) -> dict[int, tuple]:
-    """Conclusion of every subproof keyed by ``id(node)``, each rule checked once.
+def sequent_of(p: ProofTree) -> tuple:
+    """Conclusion sequent, validating every rule application on the way.
 
     The tree is walked bottom-up, left premise first, so the first rule
-    error reported is the one the recursive definition meets first.
+    error reported is the one the recursive definition meets first.  A
+    checked node keeps its conclusion, which ``==``, ``hash`` and ``repr``
+    ignore, and is not walked again; a node whose rule fails keeps nothing.
     """
-    out: dict[int, tuple] = {}
-    stack = [(p, path, False)]
+    stack = [(p, (), False)]
     while stack:
         node, where, ready = stack.pop()
-        if id(node) in out:
+        if _SEQUENT in node.__dict__:
             continue
         subs = premises(node)
         if ready or not subs:
-            out[id(node)] = _conclusion(node, [out[id(q)] for q in subs], where)
+            object.__setattr__(node, _SEQUENT, _conclusion(node, [q.__dict__[_SEQUENT] for q in subs], where))
         else:
             stack.append((node, where, True))
             stack.extend((subs[k], where + (k,), False) for k in reversed(range(len(subs))))
-    return out
+    return p.__dict__[_SEQUENT]
 
 
 def _conclusion(p: ProofTree, prem: list[tuple], path: tuple) -> tuple:
@@ -456,32 +455,24 @@ def parse_proof(text: str) -> ProofTree:
     return _proof_of(node, _Tok("", 1, 1))
 
 
-def variables_of(f: Formula) -> set[str]:
-    if isinstance(f, (Var, DualVar)):
-        return {f.name}
-    if isinstance(f, Bin):
-        return variables_of(f.left) | variables_of(f.right)
-    return set()
-
-
-def proof_variables(p: ProofTree, sequents: dict[int, tuple] | None = None) -> set[str]:
+def proof_variables(p: ProofTree) -> set[str]:
     """Variables of every sequent of the proof, cut formulas included (each is in its premise's sequent).
 
-    One walk: the sequents come from one ``subproof_sequents`` pass, or
-    from ``sequents`` when the caller has it, and a formula shared by
-    several sequents is read once.
+    One walk over the nodes and their conclusions (the root's checks every
+    rule); a formula or node shared by several sequents is read once.
     """
-    sequents = subproof_sequents(p) if sequents is None else sequents
     out: set[str] = set()
     seen: set[int] = set()
-    stack = [f for s in sequents.values() for f in s]
+    stack: list = [p]
     while stack:
-        f = stack.pop()
-        if id(f) in seen:
+        x = stack.pop()
+        if id(x) in seen:
             continue
-        seen.add(id(f))
-        if isinstance(f, Bin):
-            stack += (f.left, f.right)
-        elif isinstance(f, (Var, DualVar)):
-            out.add(f.name)
+        seen.add(id(x))
+        if isinstance(x, Bin):
+            stack += (x.left, x.right)
+        elif isinstance(x, (Var, DualVar)):
+            out.add(x.name)
+        elif not isinstance(x, (Top, Zero)):  # a proof node
+            stack += sequent_of(x) + premises(x)
     return out

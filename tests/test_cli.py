@@ -281,7 +281,7 @@ class TestVerbose:
         from goi.measurement import TRIVIAL_DIALECT, UNIT_TRACE, DialectalOperator, dial_labels, table_matrix
         from goi.projects import Project
 
-        def twisted(proof, basis, plan, sequents=None):
+        def twisted(proof, basis, plan):
             # not hermitian: the cycle a -> b -> a of the product with a witness has a complex weight
             a, b = (site.locations[0] for site in plan.sites)
             op = PartialInjectionOp({Idx(a, 0): (Idx(b, 0), 1j), Idx(b, 0): (Idx(a, 0), 1.0)})

@@ -1,5 +1,4 @@
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -52,7 +51,6 @@ from goi.logic.syntax import (
     premises,
     proof_variables,
     sequent_of,
-    variables_of,
 )
 from goi.projects import is_promising, orthogonal_witness_suite
 
@@ -128,6 +126,14 @@ class TestProofChecking:
         assert not is_mll_proof(parse_proof("(with (ax X1) (ax X1))"))
 
 
+def variables_of(f) -> set:
+    if isinstance(f, (Var, DualVar)):
+        return {f.name}
+    if isinstance(f, Bin):
+        return variables_of(f.left) | variables_of(f.right)
+    return set()
+
+
 def recursive_proof_variables(p) -> set:
     """proof_variables as it was defined, reading the conclusion of every subproof afresh."""
     out = set()
@@ -177,36 +183,124 @@ def checked_proofs(draw, depth=4):
     return Cut(a, p, Ax(a.name))
 
 
+def recursive_sequent(p, path=()):
+    """sequent_of as the recursive definition: premises left to right, then the rule, nothing kept."""
+    prem = [recursive_sequent(q, path + (k,)) for k, q in enumerate(premises(p))]
+    return syntax._conclusion(p, prem, path)
+
+
+@st.composite
+def any_proofs(draw, depth=4):
+    """Proof trees whose rules may fail: par indices, cut formulas and with contexts drawn blindly."""
+    shape = draw(st.sampled_from(("ax", "top", "tensor", "par", "with", "plusl", "cut") if depth else ("ax", "top")))
+    if shape == "ax":
+        return Ax(draw(NAMES))
+    if shape == "top":
+        return TopRule(tuple(draw(st.lists(FORMULAS, max_size=2))))
+    p = draw(any_proofs(depth - 1))
+    if shape == "par":
+        return Par(draw(st.integers(0, 3)), draw(st.integers(0, 3)), p)
+    if shape == "plusl":
+        return PlusL(draw(FORMULAS), p)
+    q = draw(st.one_of(st.just(p), any_proofs(depth - 1)))
+    if shape == "cut":
+        return Cut(draw(st.one_of(NAMES.map(Var), NAMES.map(DualVar))), p, q)
+    return (TensorRule if shape == "tensor" else With)(p, q)
+
+
+def count_conclusions(monkeypatch) -> list:
+    """The nodes whose conclusion ``sequent_of`` computes from now on, one entry per computation."""
+    computed, conclusion = [], syntax._conclusion
+
+    def counting(p, prem, path):
+        computed.append(p)
+        return conclusion(p, prem, path)
+
+    monkeypatch.setattr(syntax, "_conclusion", counting)
+    return computed
+
+
+def each_once(computed) -> bool:
+    # the list keeps every node alive, so no id is reused
+    return len({id(p) for p in computed}) == len(computed)
+
+
+def rule_error(p) -> tuple:
+    with pytest.raises(RuleApplicationError) as err:
+        sequent_of(p)
+    return str(err.value), err.value.rule, err.value.path
+
+
+class TestConclusionStore:
+    """A checked node keeps its conclusion; a failing one keeps nothing."""
+
+    @given(any_proofs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_first_error_and_path_are_the_recursive_definitions(self, proof):
+        try:
+            expected = recursive_sequent(proof)
+        except RuleApplicationError as exc:
+            assert rule_error(proof) == (str(exc), exc.rule, exc.path)
+            # nothing of the failing path was kept: the same error again
+            assert rule_error(proof) == (str(exc), exc.rule, exc.path)
+        else:
+            assert sequent_of(proof) == expected == sequent_of(proof)
+
+    def test_failing_node_keeps_nothing(self, monkeypatch):
+        proof = parse_proof("(tensor (ax X1) (par 0 0 (tensor (ax X2) (ax X3))))")
+        computed = count_conclusions(monkeypatch)
+        first = rule_error(proof)
+        assert first[1:] == ("Par", (1,))
+        assert len(computed) == 5
+        computed.clear()
+        # the premises are kept; only the par is computed again, and fails again
+        assert rule_error(proof) == first
+        assert computed == [proof.right]
+
+    def test_checked_subtree_under_a_bad_parent(self, monkeypatch):
+        good = parse_proof("(tensor (ax X1) (ax X2))")
+        sequent_of(good)
+        bad = TensorRule(Ax("X3"), Cut(Var("X9"), good, Ax("X9")))
+        computed = count_conclusions(monkeypatch)
+        message, rule, path = rule_error(bad)
+        assert (rule, path) == ("Cut", (1,)) and "X9" in message
+        assert [type(p).__name__ for p in computed] == ["Ax", "Ax", "Cut"]
+
+    def test_shared_subtree_is_computed_once(self, monkeypatch):
+        shared = parse_proof("(par 0 1 (tensor (ax X1) (ax X2)))")
+        proof = With(shared, shared)
+        expected = recursive_sequent(proof)
+        computed = count_conclusions(monkeypatch)
+        assert sequent_of(proof) == expected
+        assert each_once(computed) and len(computed) == 5
+
+    @pytest.mark.parametrize("name,text", corpus.MLL_CORPUS + corpus.MALL_CORPUS)
+    def test_a_checked_node_equals_an_unchecked_parse(self, name, text):
+        checked, fresh = parse_proof(text), parse_proof(text)
+        sequent_of(checked)
+        for a, b in zip(preorder(checked), preorder(fresh), strict=True):
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+            assert dataclasses.astuple(a) == dataclasses.astuple(b)
+
+
 class TestOneSequentWalk:
+    """Every caller reads the kept conclusions: no node is computed twice."""
+
     @given(checked_proofs())
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_proof_variables_is_the_recursive_definition(self, proof):
         assert proof_variables(proof) == recursive_proof_variables(proof)
 
-    def test_proof_variables_walks_once(self, monkeypatch):
-        calls = []
-        walk = syntax.subproof_sequents
-        monkeypatch.setattr(syntax, "subproof_sequents", lambda p, *a: calls.append(p) or walk(p, *a))
+    def test_proof_variables_computes_each_node_once(self, monkeypatch):
         proof = parse_proof("(tensor (with (ax X1) (ax X1)) (cut (dual X2) (ax X2) (plusl (dual X3) (ax X2))))")
+        computed = count_conclusions(monkeypatch)
         assert proof_variables(proof) == {"X1", "X2", "X3"}
-        assert calls == [proof]
-
-    @staticmethod
-    def count_walks(monkeypatch) -> list:
-        """The proofs that ``subproof_sequents`` walks from now on, wherever goi calls it from."""
-        walked, walk = [], syntax.subproof_sequents
-
-        def counting_walk(p, *args):
-            walked.append(p)
-            return walk(p, *args)
-
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("goi") and getattr(module, "subproof_sequents", None) is walk:
-                monkeypatch.setattr(module, "subproof_sequents", counting_walk)
-        return walked
+        assert each_once(computed) and len(computed) == len(preorder(proof))
+        computed.clear()
+        assert proof_variables(proof) == {"X1", "X2", "X3"} and not computed
 
     def test_interpret_is_linear_in_the_tensor_width(self, tmp_path, monkeypatch):
-        # counts, not clocks: operator constructions grow linearly in k, and the sequents are walked once
+        # counts, not clocks: operator constructions grow linearly in k, and each node's conclusion is computed once
         constructed = [0]
         init = PartialInjectionOp.__init__
 
@@ -215,33 +309,57 @@ class TestOneSequentWalk:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(PartialInjectionOp, "__init__", counting_init)
-        walks = self.count_walks(monkeypatch)
+        computed = count_conclusions(monkeypatch)
         counts = {}
         for k in (8, 16, 32):
             path = tmp_path / f"tensor-{k}.sexp"
             path.write_text(right_tensor(k), encoding="utf-8")
             constructed[0] = 0
-            walks.clear()
+            computed.clear()
             assert main(["interpret", str(path), "--out", str(tmp_path / "r.json")]) == 0
-            assert len(walks) == 1
+            assert each_once(computed) and len(computed) == 2 * k - 1
             counts[k] = constructed[0]
         # a k a + b count with b >= 0 at most doubles when k doubles; a fold that rebuilds its prefix grows as k^2
         assert counts[8] < counts[16] <= 2 * counts[8]
         assert counts[16] < counts[32] <= 2 * counts[16]
 
-    def test_goi1_interpret_walks_once(self, tmp_path, monkeypatch):
+    def test_goi1_interpret_computes_each_node_once(self, tmp_path, monkeypatch):
         path = tmp_path / "tensor-8.sexp"
         path.write_text(right_tensor(8), encoding="utf-8")
-        walks = self.count_walks(monkeypatch)
+        computed = count_conclusions(monkeypatch)
         assert main(["interpret", str(path), "--backend", "goi1", "--out", str(tmp_path / "r.json")]) == 0
-        assert len(walks) == 1
+        assert each_once(computed) and len(computed) == 15
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_check_allocate_interpret_computes_each_node_once(self, monkeypatch, n):
+        # the exact path of a cut chain: check, address plan, interpretation
+        proof = cut_chain(n, n)
+        computed = count_conclusions(monkeypatch)
+        check_proof(proof)
+        interpret_mll_goi1(proof, allocate_goi1(proof))
+        assert each_once(computed) and len(computed) == 2 * n + 1
 
     @pytest.mark.parametrize("name", ["compound-cut-deep", "deep-par"])
-    def test_soundness_check_walks_the_proof_once(self, monkeypatch, name):
+    def test_soundness_check_computes_each_node_once(self, monkeypatch, name):
         proof = parse_proof(dict(corpus.MLL_CORPUS)[name])
-        walks = self.count_walks(monkeypatch)
+        computed = count_conclusions(monkeypatch)
         assert soundness_check_mll(proof)
-        assert sum(p is proof for p in walks) == 1
+        assert each_once(computed)
+        assert {id(p) for p in preorder(proof)} <= {id(p) for p in computed}
+
+    def test_normalize_mll_is_linear_in_the_cut_count(self, monkeypatch):
+        computed = count_conclusions(monkeypatch)
+        counts = {}
+        for n in (16, 32, 64):
+            proof = cut_chain(n, n)
+            computed.clear()
+            normal = normalize_mll(proof)
+            assert sequent_of(normal) == sequent_of(proof) and cut_count(normal) == 0
+            assert each_once(computed)
+            counts[n] = len(computed)
+        # re-walking the built subproofs at every step grows as n^2
+        assert counts[16] < counts[32] <= 2 * counts[16]
+        assert counts[32] < counts[64] <= 2 * counts[32]
 
 
 class TestNormalization:
@@ -438,12 +556,12 @@ class TestSiteRouting:
         """The (node, conclusion sites, cut sites, premise sites) of every call the module makes."""
         calls, route = [], locations.premise_sites
 
-        def recording(node, sites, sequents, cut=None):
-            out = route(node, sites, sequents, cut)
+        def recording(node, sites, cut=None):
+            out = route(node, sites, cut)
             calls.append((node, sites, cut, out))
-            assert [s.formula for s in sites] == list(sequents[id(node)])
+            assert [s.formula for s in sites] == list(sequent_of(node))
             for q, ps in zip(premises(node), out, strict=True):
-                assert [s.formula for s in ps] == list(sequents[id(q)])
+                assert [s.formula for s in ps] == list(sequent_of(q))
             return out
 
         monkeypatch.setattr(module, "premise_sites", recording)

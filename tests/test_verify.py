@@ -88,3 +88,24 @@ def test_wall_clock_budget_does_not_decide_the_status(monkeypatch):
     for rec in records:
         assert rec.status == "pass", rec.name
         assert rec.data["elapsed_s"] > rec.data["budget_s"], rec.name
+
+
+def test_coherence_pairs_names_every_shape_it_measured(monkeypatch):
+    # which corpus shape each measured pair came from, seen at the measurement itself
+    current, measured = [None], []
+    shapes = verify.corpus.mall_proofs()
+
+    def naming():
+        for name, proof in shapes:
+            current[0] = name
+            yield name, proof
+
+    def sca_mat(f, g, _real=verify.sca_mat):
+        measured.append(current[0])
+        return _real(f, g)
+
+    monkeypatch.setattr(verify.corpus, "mall_proofs", naming)
+    monkeypatch.setattr(verify, "sca_mat", sca_mat)
+    rec = verify.check_coherence_pairs(DEFAULT_SEED, 100)
+    assert rec.status == "pass" and rec.data["pairs_checked"] == len(measured)
+    assert rec.data["sampled_from"] == list(dict.fromkeys(measured))
