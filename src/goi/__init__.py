@@ -17,7 +17,6 @@ from .linalg import (  # noqa: F401
     operator_norm,
     plain_det,
     spectral_radius,
-    tensor,
 )
 from .groupoid import (  # noqa: F401
     Idx,
@@ -25,20 +24,17 @@ from .groupoid import (  # noqa: F401
     PartialInjectionOp,
     Region,
     adjoint,
-    axiom_swap,
     beta_decode,
     beta_encode,
     compose,
     is_partial_symmetry,
     l_isometry,
     nilpotency,
-    odot,
     r_isometry,
     restrict_outside,
     sum_disjoint,
-    to_dense,
 )
-from .grouparith import GroupElement, g_compose, g_inverse, monoid_word_eval  # noqa: F401
+from .grouparith import GroupElement, g_compose, monoid_word_eval  # noqa: F401
 from .measurement import (  # noqa: F401
     INDETERMINATE,
     Dialect,
@@ -48,16 +44,11 @@ from .measurement import (  # noqa: F401
     TRIVIAL_DIALECT,
     UNIT_TRACE,
     apply_variant,
-    dagger,
-    ddagger,
     is_indeterminate,
     ldet,
     ldet_series,
     meas_hyp,
     meas_mat,
-    orthogonal_hyp,
-    pseudo_trace_eval,
-    sca_hyp,
     sca_mat,
     variant_invariance_residual,
 )
@@ -65,7 +56,6 @@ from .execution import (  # noqa: F401
     InterfaceSplit,
     adjunction_residual_hyp,
     adjunction_residual_mat,
-    associativity_residual,
     ex_goi1,
     feedback_dense,
     plug_dialectal,
@@ -77,7 +67,6 @@ from .projects import (  # noqa: F401
     Project,
     PromisingReport,
     build_fax,
-    build_with_project,
     deloc_project,
     extend_carrier,
     is_promising,

@@ -1,7 +1,8 @@
 """Command-line frontend: check, interpret, verify.
 
 Exit codes: 0 pass, 1 property failure, 2 syntax error, 3 rule
-violation, 4 configuration error.  Reports are deterministic for a
+violation, 4 configuration error (a bad GOI_TOL, an unreadable or
+undecodable input file, an unwritable --out).  Reports are deterministic for a
 fixed (input, seed) and serialize infinities and indeterminates as
 tagged strings, never as floats.
 """
@@ -65,13 +66,29 @@ def _json_value(x):
     return repr(x)
 
 
-def _emit(report: dict, out: str | None):
+def _emit(report: dict, out: str | None, code: int) -> int:
+    """Print the report or write it to ``out``, and return ``code``; an unwritable ``out`` is exit 4."""
     text = json.dumps(_json_value(report), indent=2, sort_keys=True)
-    if out:
+    if not out:
+        print(text)
+        return code
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        print(f"cannot write {out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return code
+
+
+def _read(path: str) -> str | None:
+    """The text of a proof or basis file, or None after one ``cannot read`` line on stderr."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read {path}: {exc}", file=sys.stderr)
+        return None
 
 
 def _records_to_json(records: list[CheckRecord]) -> list[dict]:
@@ -84,20 +101,17 @@ def _records_to_json(records: list[CheckRecord]) -> list[dict]:
 def cmd_check(args) -> int:
     from .logic.syntax import check_proof, fmt, parse_proof
 
-    try:
-        text = open(args.proof, encoding="utf-8").read()
-    except OSError as exc:
-        print(f"cannot read {args.proof}: {exc}", file=sys.stderr)
+    text = _read(args.proof)
+    if text is None:
         return EXIT_CONFIG
     try:
         proof = parse_proof(text)
     except ProofSyntaxError as exc:
-        _emit({"schema": SCHEMA, "command": "check", "status": "syntax-error", "error": str(exc)}, args.out)
-        return EXIT_SYNTAX
+        return _emit({"schema": SCHEMA, "command": "check", "status": "syntax-error", "error": str(exc)}, args.out, EXIT_SYNTAX)
     try:
         sequent = check_proof(proof)
     except RuleApplicationError as exc:
-        _emit(
+        return _emit(
             {
                 "schema": SCHEMA,
                 "command": "check",
@@ -107,18 +121,9 @@ def cmd_check(args) -> int:
                 "path": list(exc.path),
             },
             args.out,
+            EXIT_RULE,
         )
-        return EXIT_RULE
-    _emit(
-        {
-            "schema": SCHEMA,
-            "command": "check",
-            "status": "ok",
-            "sequent": [fmt(f) for f in sequent],
-        },
-        args.out,
-    )
-    return EXIT_OK
+    return _emit({"schema": SCHEMA, "command": "check", "status": "ok", "sequent": [fmt(f) for f in sequent]}, args.out, EXIT_OK)
 
 
 def cmd_interpret(args) -> int:
@@ -129,29 +134,24 @@ def cmd_interpret(args) -> int:
     from .groupoid import compose, nilpotency
     from .projects import is_promising, orthogonal_witness_suite
 
-    try:
-        text = open(args.proof, encoding="utf-8").read()
-    except OSError as exc:
-        print(f"cannot read {args.proof}: {exc}", file=sys.stderr)
+    text = _read(args.proof)
+    if text is None:
         return EXIT_CONFIG
     try:
         proof = parse_proof(text)
         # every rule checked once: each node keeps its conclusion for allocation and interpretation
         sequent = check_proof(proof)
     except ProofSyntaxError as exc:
-        _emit({"schema": SCHEMA, "command": "interpret", "status": "syntax-error", "error": str(exc)}, args.out)
-        return EXIT_SYNTAX
+        return _emit({"schema": SCHEMA, "command": "interpret", "status": "syntax-error", "error": str(exc)}, args.out, EXIT_SYNTAX)
     except RuleApplicationError as exc:
-        _emit({"schema": SCHEMA, "command": "interpret", "status": "rule-error", "error": str(exc)}, args.out)
-        return EXIT_RULE
+        return _emit({"schema": SCHEMA, "command": "interpret", "status": "rule-error", "error": str(exc)}, args.out, EXIT_RULE)
 
     if args.backend == "goi1":
         try:
             plan = allocate_goi1(proof)
             pi, sigma = interpret_mll_goi1(proof, plan)
         except GoiError as exc:
-            _emit({"schema": SCHEMA, "command": "interpret", "status": "error", "error": str(exc)}, args.out)
-            return EXIT_CONFIG
+            return _emit({"schema": SCHEMA, "command": "interpret", "status": "error", "error": str(exc)}, args.out, EXIT_CONFIG)
         prod = compose(pi, sigma)
         res = nilpotency(prod) if not prod.is_zero() else None
         report = {
@@ -165,21 +165,17 @@ def cmd_interpret(args) -> int:
             "cut_links": len(sigma.cyls) + len(sigma.table),
             "cut_product_nilpotency": None if res is None else {"kind": res.kind, "degree": res.degree},
         }
-        _emit(report, args.out)
-        return EXIT_OK
+        return _emit(report, args.out, EXIT_OK)
 
     # matricial backend
-    try:
-        if args.basis in (None, "default"):
-            basis = default_basis()
-        else:
-            basis = parse_basis(open(args.basis, encoding="utf-8").read())
-    except OSError as exc:
-        print(f"cannot read basis: {exc}", file=sys.stderr)
+    if args.basis in (None, "default"):
+        basis_text = None
+    elif (basis_text := _read(args.basis)) is None:
         return EXIT_CONFIG
+    try:
+        basis = default_basis() if basis_text is None else parse_basis(basis_text)
     except ProofSyntaxError as exc:
-        _emit({"schema": SCHEMA, "command": "interpret", "status": "syntax-error", "error": str(exc)}, args.out)
-        return EXIT_SYNTAX
+        return _emit({"schema": SCHEMA, "command": "interpret", "status": "syntax-error", "error": str(exc)}, args.out, EXIT_SYNTAX)
     except GoiError as exc:
         print(f"config-error: bad basis: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -187,11 +183,9 @@ def cmd_interpret(args) -> int:
         plan = allocate_matricial(proof, basis)
         project = interpret_mall_matricial(proof, basis, plan)
     except MissingVariableError as exc:
-        _emit({"schema": SCHEMA, "command": "interpret", "status": "config-error", "error": str(exc)}, args.out)
-        return EXIT_CONFIG
+        return _emit({"schema": SCHEMA, "command": "interpret", "status": "config-error", "error": str(exc)}, args.out, EXIT_CONFIG)
     except GoiError as exc:
-        _emit({"schema": SCHEMA, "command": "interpret", "status": "error", "error": str(exc)}, args.out)
-        return EXIT_PROPERTY
+        return _emit({"schema": SCHEMA, "command": "interpret", "status": "error", "error": str(exc)}, args.out, EXIT_PROPERTY)
     report_p = is_promising(project)
     witnesses = sequent_dual_witnesses(plan, basis)
     rows = orthogonal_witness_suite(project, witnesses)
@@ -227,9 +221,8 @@ def cmd_interpret(args) -> int:
             "sites": [{"family": size, "cap": cap} for size, cap in coverage.sites],
         },
     }
-    _emit(report, args.out)
     all_orth = bool(rows) and all(r.verdict == "orthogonal" for r in rows)
-    return EXIT_OK if report_p.all_pass and all_orth else EXIT_PROPERTY
+    return _emit(report, args.out, EXIT_OK if report_p.all_pass and all_orth else EXIT_PROPERTY)
 
 
 def cmd_verify(args) -> int:
@@ -250,8 +243,7 @@ def cmd_verify(args) -> int:
         "checks": _records_to_json(records),
         "status": status,
     }
-    _emit(report, args.out)
-    return EXIT_OK if status == "pass" else EXIT_PROPERTY
+    return _emit(report, args.out, EXIT_OK if status == "pass" else EXIT_PROPERTY)
 
 
 @functools.cache

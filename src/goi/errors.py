@@ -23,14 +23,6 @@ class DisjointnessError(GoiError):
         self.index = index
 
 
-class WindowError(GoiError):
-    """A partial injection escapes the requested finite window."""
-
-    def __init__(self, message: str, index=None):
-        super().__init__(message)
-        self.index = index
-
-
 class NotNilpotentError(GoiError):
     """Execution was requested for a non-nilpotent product."""
 

@@ -240,13 +240,3 @@ def adjunction_residual_mat(F: DialectalOperator, G: DialectalOperator, H: Diale
         return 0.0 if math.isinf(lhs) and (math.isinf(mg) or math.isinf(mh)) else math.inf
     return abs(lhs - (H.pseudo_trace.unit() * mg + mh))
 
-
-def associativity_residual(a: DialectalOperator, f: DialectalOperator, b: DialectalOperator):
-    """Distance between (a.f).b and a.(f.b); exact bool on symbolic payloads."""
-    left = plug_dialectal(plug_dialectal(a, f), b)
-    right = plug_dialectal(a, plug_dialectal(f, b))
-    if left.is_symbolic and right.is_symbolic:
-        return left.op == right.op
-    lmat = left.as_dense().dense_payload()
-    rmat = right.as_dense().dense_payload()
-    return lmat.max_abs_diff(rmat)

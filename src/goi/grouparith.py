@@ -52,11 +52,6 @@ def g_compose(g: GroupElement, h: GroupElement) -> GroupElement:
     return GroupElement.make(out, g.step + h.step)
 
 
-def g_inverse(g: GroupElement) -> GroupElement:
-    out = {pos - g.step: -val for pos, val in g.shifts}
-    return GroupElement.make(out, -g.step)
-
-
 def monoid_word_eval(word) -> GroupElement:
     """Evaluate a word over {a, b} by left-to-right composition.
 

@@ -32,11 +32,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .config import ORBIT_BUDGET, struct_tol
-from .errors import DisjointnessError, WindowError
-from .linalg import DenseOperator
+from .errors import DisjointnessError
 
 
 class Idx(NamedTuple):
@@ -441,21 +438,6 @@ def sum_disjoint(u: PartialInjectionOp, v: PartialInjectionOp) -> PartialInjecti
     return op
 
 
-def conjugate_by(w: PartialInjectionOp, u: PartialInjectionOp) -> PartialInjectionOp:
-    """w u w*."""
-    return compose(compose(w, u), adjoint(w))
-
-
-def odot(u: PartialInjectionOp, v: PartialInjectionOp) -> PartialInjectionOp:
-    """Internalised pairing: R u R* + L v L* (disjoint by construction)."""
-    return sum_disjoint(conjugate_by(r_isometry(), u), conjugate_by(l_isometry(), v))
-
-
-def axiom_swap() -> PartialInjectionOp:
-    """L R*: the standard partial isometry between the even and odd halves."""
-    return compose(l_isometry(), adjoint(r_isometry()))
-
-
 def is_partial_symmetry(u: PartialInjectionOp) -> bool:
     """u = u*, decided exactly on the canonical forms; a partial isometry u then has u^3 = u u* u = u."""
     return u == adjoint(u)
@@ -777,30 +759,6 @@ def _restrict_cylinder(c: _Cyl, region: Region, out: list) -> None:
             stack.append(
                 (_Cyl(c.out_word + letter, c.out_slot, c.in_word + letter, c.in_slot, c.weight), depth + 1)
             )
-
-
-# ----------------------------------------------------------------------
-# Dense windows
-
-
-def to_dense(u: PartialInjectionOp, window: Iterable) -> DenseOperator:
-    """Matrix of u on a finite window; u must map the window into itself."""
-    window = [as_idx(x) for x in window]
-    pos = {x: i for i, x in enumerate(window)}
-    if all(x.slot == 0 for x in window):
-        labels = tuple(x.value for x in window)
-    else:
-        labels = tuple((x.value, x.slot) for x in window)
-    mat = np.zeros((len(window), len(window)), dtype=complex)
-    for x in window:
-        hit = u.apply(x)
-        if hit is None:
-            continue
-        dst, w = hit
-        if dst not in pos:
-            raise WindowError(f"image {dst} of {x} escapes the window", index=x)
-        mat[pos[dst], pos[x]] = w
-    return DenseOperator(labels, mat)
 
 
 # ----------------------------------------------------------------------

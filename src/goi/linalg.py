@@ -270,11 +270,6 @@ def direct_sum(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     return DenseOperator(carrier, mat)
 
 
-def tensor(a: DenseOperator, b: DenseOperator) -> DenseOperator:
-    carrier = tuple((la, lb) for la in a.carrier for lb in b.carrier)
-    return DenseOperator(carrier, np.kron(a.mat, b.mat))
-
-
 def union_carrier(*carriers: Sequence) -> tuple:
     """The labels of every carrier in order of first appearance: the concatenation when they are disjoint."""
     return tuple(dict.fromkeys(chain.from_iterable(carriers)))

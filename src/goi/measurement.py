@@ -167,20 +167,6 @@ class PseudoTrace:
 UNIT_TRACE = PseudoTrace((1.0,))
 
 
-def pseudo_trace_eval(alpha: PseudoTrace, dialect: Dialect, m) -> complex:
-    """Weighted sum of normalised block traces of a dialect-indexed matrix."""
-    mat = m.mat if isinstance(m, DenseOperator) else np.asarray(m, dtype=complex)
-    if mat.shape != (dialect.dim, dialect.dim):
-        raise CarrierError("matrix does not match the dialect dimension")
-    if len(alpha.weights) != len(dialect.blocks):
-        raise CarrierError("pseudo-trace and dialect block counts differ")
-    total = 0.0 + 0j
-    for b, k in enumerate(dialect.blocks):
-        coords = dialect.coords_of_block(b)
-        total += alpha.weights[b] / k * sum(mat[c, c] for c in coords)
-    return complex(total)
-
-
 # ----------------------------------------------------------------------
 # Dialectal operators
 
@@ -337,14 +323,14 @@ def from_location_matrix(carrier, mat, dialect: Dialect = TRIVIAL_DIALECT, alpha
 
 
 # ----------------------------------------------------------------------
-# Dialect extension (dagger / ddagger)
+# Dialect extension of a pair: A (x) 1 against 1 (x) B
 
 
 def _extend_table(op: PartialInjectionOp | WeightedInjection, k: int, k_other: int, left: bool) -> PartialInjectionOp | WeightedInjection:
     """A table on a k-dimensional dialect with the identity on a k_other-dimensional one.
 
-    ``left`` keeps the table's coordinate first (X (x) 1, as ``dagger``):
-    slot s becomes s * k_other + c; else last (1 (x) X, as ``ddagger``):
+    ``left`` keeps the table's coordinate first (X (x) 1, the left side of
+    a pair): slot s becomes s * k_other + c; else last (1 (x) X, the right):
     slot s becomes c * k + s.  A weighted table keeps its diagonal on
     every copy.  The identity on one coordinate changes nothing, so
     ``k_other == 1`` gives op itself.
@@ -382,27 +368,6 @@ def _extend_matrix(mat: np.ndarray, k: int, k_other: int, left: bool) -> np.ndar
     return ext.reshape(n * k * k_other, n * k * k_other)
 
 
-def _extended(X: DialectalOperator, dialect: Dialect, alpha: PseudoTrace, k_other: int, left: bool) -> DialectalOperator:
-    k = X.dialect.dim
-    if X.is_symbolic:
-        op = _extend_table(X.op, k, k_other, left)
-    else:
-        op = DenseOperator(dial_labels(X.carrier, dialect.dim), _extend_matrix(X.op.mat, k, k_other, left))
-    return DialectalOperator(X.carrier, dialect, alpha, op)
-
-
-def dagger(A: DialectalOperator, d: Dialect, beta: PseudoTrace | None = None) -> DialectalOperator:
-    """Extend by the identity on a fresh right dialect: A (x) 1."""
-    beta = beta if beta is not None else PseudoTrace((1.0,) * len(d.blocks))
-    return _extended(A, A.dialect.tensor(d), A.pseudo_trace.tensor(beta), d.dim, True)
-
-
-def ddagger(B: DialectalOperator, d: Dialect, alpha_left: PseudoTrace | None = None) -> DialectalOperator:
-    """Extend by the identity on a fresh left dialect: swap of 1 (x) B."""
-    alpha_left = alpha_left if alpha_left is not None else PseudoTrace((1.0,) * len(d.blocks))
-    return _extended(B, d.tensor(B.dialect), alpha_left.tensor(B.pseudo_trace), d.dim, False)
-
-
 class ExtendedPair(NamedTuple):
     """A and B extended to one dialect on one carrier, as plain payloads.
 
@@ -438,9 +403,9 @@ def _extend_payload(X: DialectalOperator, k_other: int, left: bool, carrier: tup
 def extended_pair(A: DialectalOperator, B: DialectalOperator) -> ExtendedPair:
     """A and B extended to the common dialect (A's left, B's right) on the union carrier.
 
-    Equal, payload for payload, to ``dagger(A, B.dialect, B.pseudo_trace)``
-    and ``ddagger(B, A.dialect, A.pseudo_trace)`` viewed ``on_carrier`` the
-    union, without building either as a dialectal operator.
+    The one dialect extension of the engine: the measurements, the plug,
+    the union and the tensor read it.  Neither side is built as a
+    dialectal operator.
     """
     carrier = union_carrier(A.carrier, B.carrier)
     dialect = A.dialect.tensor(B.dialect)
@@ -615,27 +580,12 @@ def meas_mat(A: DialectalOperator, B: DialectalOperator) -> Meas:
     return _ldet_raw(ext.a @ ext.b, ext.carrier, ext.dialect, ext.pseudo_trace, absolute=False)
 
 
-def meas_hyp(u, v, blocks=None) -> Meas:
-    """-log of the positive determinant of 1 - uv (counting trace).
-
-    ``u`` and ``v`` are plain DenseOperators on a common label set, or
-    dialectal operators (then their extensions and weights are used and
-    the determinant is still taken in absolute value, without a gate).
-    """
-    if isinstance(u, DialectalOperator) or isinstance(v, DialectalOperator):
-        ext = extended_pair(u.as_dense(), v)
-        prod = ext.a @ ext.b
-        return _block_log_sum(np.eye(prod.dim) - prod.mat, ext.carrier, ext.dialect, ext.pseudo_trace, absolute=True)
+def meas_hyp(u: DenseOperator, v: DenseOperator) -> Meas:
+    """-log |det(1 - uv)| on the union of the carriers (counting trace, no gate)."""
     carrier = union_carrier(u.carrier, v.carrier)
-    ue = u.embed(carrier)
-    ve = v.embed(carrier)
-    prod = ue @ ve
-    eye = DenseOperator.identity(carrier)
-    one_minus = eye - prod
-    sign, logabs = np.linalg.slogdet(one_minus.mat)
-    if sign == 0:
-        return math.inf
-    return -float(logabs)
+    prod = u.embed(carrier) @ v.embed(carrier)
+    one_minus = DenseOperator.identity(carrier) - prod
+    return _block_log_sum(one_minus.mat, carrier, TRIVIAL_DIALECT, UNIT_TRACE, absolute=True)
 
 
 # the measurement module deliberately has no densities on Project; the
@@ -649,15 +599,6 @@ def sca_mat(a, b) -> Meas:
     if is_indeterminate(m):
         return INDETERMINATE
     if math.isinf(a.wager) or math.isinf(b.wager) or math.isinf(m):
-        return math.inf
-    return A.pseudo_trace.unit() * b.wager + B.pseudo_trace.unit() * a.wager + m
-
-
-def sca_hyp(a, b) -> Meas:
-    """Determinant-based variant: wager terms plus meas_hyp of the extensions."""
-    A, B = a.dialectal, b.dialectal
-    m = meas_hyp(A, B)
-    if math.isinf(a.wager) or math.isinf(b.wager) or (not is_indeterminate(m) and math.isinf(m)):
         return math.inf
     return A.pseudo_trace.unit() * b.wager + B.pseudo_trace.unit() * a.wager + m
 
@@ -677,10 +618,6 @@ def sca_verdict(value: Meas, tol: float | None = None) -> tuple[str, bool]:
     if abs(value) <= tol:
         return "zero", False
     return "orthogonal", abs(value) <= 10 * tol
-
-
-def orthogonal_hyp(a, b, tol: float | None = None) -> bool:
-    return sca_verdict(sca_hyp(a, b), tol)[0] == "orthogonal"
 
 
 # ----------------------------------------------------------------------

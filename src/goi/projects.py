@@ -228,32 +228,6 @@ def with_bar(f: Project, g: Project, theta1: Delocation | None = None, theta2: D
     return Project(0.0, half.dialectal)
 
 
-def build_with_project(theta1: Delocation, theta2: Delocation, theta3: Delocation, phi: Delocation) -> Project:
-    """The distributor: two delocation relays superposed over a two-block dialect.
-
-    Block one relays theta1 and theta2, block two relays theta1 phi* and
-    theta3.  Weights are 1/2 each; the operator is a partial symmetry.
-    """
-    t1, t2, t3 = theta1.op, theta2.op, theta3.op
-    block1 = sum_disjoint(sum_disjoint(t1, adjoint(t1)), sum_disjoint(t2, adjoint(t2)))
-    relay = compose(t1, adjoint(phi.op))
-    block2 = sum_disjoint(sum_disjoint(relay, adjoint(relay)), sum_disjoint(t3, adjoint(t3)))
-    carrier = []
-    for d in (theta1, theta2, theta3, phi):
-        for l in d.source + d.target:
-            if l not in carrier:
-                carrier.append(l)
-    table = {}
-    for src, (dst, w) in block1.table.items():
-        table[Idx(src.value, 0)] = (Idx(dst.value, 0), w)
-    for src, (dst, w) in block2.table.items():
-        table[Idx(src.value, 1)] = (Idx(dst.value, 1), w)
-    op = PartialInjectionOp(table)
-    dialect = Dialect((1, 1))
-    kappa = PseudoTrace((0.5, 0.5))
-    return Project(0.0, DialectalOperator(tuple(carrier), dialect, kappa, op))
-
-
 # ----------------------------------------------------------------------
 # Success checking
 

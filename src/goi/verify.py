@@ -37,8 +37,8 @@ from .measurement import (
     UNIT_TRACE,
     _arrows,
     _cycle_ldet,
-    dagger,
     dial_labels,
+    extended_pair,
     from_location_matrix,
     is_indeterminate,
     ldet,
@@ -307,9 +307,12 @@ def check_ldet_lemmas(seed: int, trials: int) -> CheckRecord:
     # dialect inflation
     worst_inf = 0.0
     n_inf = 0
+    # m (x) 1 is the left side of the pair (m, an empty operator of the fresh dialect)
+    fresh = DialectalOperator((), Dialect((3,)), PseudoTrace((1.7,)), DenseOperator.zeros(()))
     for t in range(10):
         m = from_location_matrix((0, 1), rand_hermitian(rng, 2, 0.7))
-        lifted = dagger(m, Dialect((3,)), PseudoTrace((1.7,)))
+        ext = extended_pair(m, fresh)
+        lifted = DialectalOperator(ext.carrier, ext.dialect, ext.pseudo_trace, ext.a)
         a, b = ldet(lifted), ldet(m)
         if not (is_indeterminate(a) or is_indeterminate(b)) and not math.isinf(b):
             worst_inf = max(worst_inf, abs(a - 1.7 * b))

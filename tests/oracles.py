@@ -19,6 +19,10 @@ second, separate pass.
 one block included, through the block masks and ``np.ix_`` copies, and
 ``loop_beta_decode`` halves its argument one bit at a time: the general
 paths that the one-block and bit-arithmetic fast paths skip.
+
+``build_with_project`` (the with distributor) and
+``associativity_residual`` (the two bracketings of a plug chain) are
+fixtures that only tests use.
 """
 
 import itertools
@@ -28,11 +32,13 @@ import numpy as np
 
 from goi.config import NORM_SLACK, struct_tol
 from goi.errors import CarrierError, FeedbackSingularError, IndeterminateError, NotNilpotentError, NotOrthogonalError
-from goi.groupoid import Idx, PartialInjectionOp, Region, compose, nilpotency, restrict_outside, sum_disjoint
+from goi.execution import plug_dialectal
+from goi.groupoid import Idx, PartialInjectionOp, Region, adjoint, compose, nilpotency, restrict_outside, sum_disjoint
 from goi.linalg import DenseOperator, spectral_radius
 from goi.logic.matricial import dual_witnesses_for
 from goi.measurement import (
     INDETERMINATE,
+    Dialect,
     DialectalOperator,
     _weighted_log_sum,
     PseudoTrace,
@@ -300,3 +306,24 @@ def loop_beta_decode(k):
         x //= 2
         n += 1
     return n, (x - 1) // 2
+
+
+def build_with_project(theta1, theta2, theta3, phi):
+    """The distributor: block one relays theta1 and theta2, block two theta1 phi* and theta3, weights 1/2 each."""
+    relay = compose(theta1.op, adjoint(phi.op))
+    table = {}
+    for slot, (s, t) in enumerate(((theta1.op, theta2.op), (relay, theta3.op))):
+        block = sum_disjoint(sum_disjoint(s, adjoint(s)), sum_disjoint(t, adjoint(t)))
+        for src, (dst, w) in block.table.items():
+            table[Idx(src.value, slot)] = (Idx(dst.value, slot), w)
+    carrier = tuple(dict.fromkeys(l for d in (theta1, theta2, theta3, phi) for l in d.source + d.target))
+    return Project(0.0, DialectalOperator(carrier, Dialect((1, 1)), PseudoTrace((0.5, 0.5)), PartialInjectionOp(table)))
+
+
+def associativity_residual(a, f, b):
+    """Distance between (a.f).b and a.(f.b); an exact bool on symbolic payloads."""
+    left = plug_dialectal(plug_dialectal(a, f), b)
+    right = plug_dialectal(a, plug_dialectal(f, b))
+    if left.is_symbolic and right.is_symbolic:
+        return left.op == right.op
+    return left.dense_payload().max_abs_diff(right.dense_payload())

@@ -18,7 +18,6 @@ from goi.execution import (
     _resolvent,
     adjunction_residual_hyp,
     adjunction_residual_mat,
-    associativity_residual,
     ex_goi1,
     feedback_dense,
     plug_dialectal,
@@ -29,11 +28,12 @@ from goi.groupoid import Idx, PartialInjectionOp, Region, compose, nilpotency
 from goi.linalg import DenseOperator, direct_sum, mat_mul, operator_norm, plain_det
 from goi.logic.goi1 import interpret_mll_goi1
 from goi.logic.syntax import Ax, Cut, DualVar, Par, TensorRule, Var, sequent_of
-from goi.measurement import Dialect, DialectalOperator, PseudoTrace, UNIT_TRACE, dial_labels, from_location_matrix, meas_mat
+from goi.measurement import Dialect, DialectalOperator, PseudoTrace, UNIT_TRACE, dial_labels, from_location_matrix, meas_mat, table_matrix
 from goi.projects import Project, plug_project
 
 from conftest import hermitian_contraction, random_dialectal
 from oracles import (
+    associativity_residual,
     explicit_resolvent,
     four_family_expansion,
     series_execution,
@@ -173,18 +173,16 @@ class TestExGoi1:
         u = PartialInjectionOp.from_table({0: 1, 1: 0, 2: 3, 3: 2})
         sigma = PartialInjectionOp.from_table({1: 2, 2: 1})
         out = ex_goi1(u, sigma)
-        window = [0, 1, 2, 3]
-        from goi.groupoid import to_dense
-
-        ud = to_dense(u, window).mat
-        sd = to_dense(sigma, window).mat
+        window = tuple(Idx(i) for i in range(4))
+        ud = table_matrix(u, window).mat
+        sd = table_matrix(sigma, window).mat
         proj = np.diag([1.0, 0, 0, 1.0])  # outside the cut
         series = np.zeros((4, 4), dtype=complex)
         term = ud.copy()
         for _ in range(6):
             series += proj @ term @ proj
             term = ud @ sd @ term
-        assert np.array_equal(to_dense(out, window).mat, series)
+        assert np.array_equal(table_matrix(out, window).mat, series)
 
 
 class TestExGoi1AgainstSeries:

@@ -1,12 +1,14 @@
 """Every documented exit code of the CLI, as properties over drawn input.
 
 2: malformed proof or basis text; 3: a rule violation; 4: a bad GOI_TOL,
-an unreadable file or a variable the basis lacks; 1: a vacuous witness
-table or an indeterminate suite.  Also the formula round trip through
-``fmt`` and ``parse_formula``.
+an unreadable or undecodable file, an unwritable --out or a variable the
+basis lacks; 1: a vacuous witness table or an indeterminate suite.  Also
+the formula round trip through ``fmt`` and ``parse_formula``.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -106,15 +108,38 @@ class TestConfigErrors:
             rc, report = run(tmp_path_factory, argv[command])
         assert rc == EXIT_CONFIG and report is None
 
-    @given(st.from_regex(r"[a-z]{1,8}", fullmatch=True), st.sampled_from(("check", "interpret", "basis")))
+    @given(st.from_regex(r"[a-z]{1,8}", fullmatch=True), st.sampled_from(("check", "interpret", "basis")), st.data())
     @PROPERTY
-    def test_unreadable_file(self, tmp_path_factory, name, which):
-        missing = str(tmp_path_factory.mktemp("none") / f"{name}.sexp")
-        if which == "basis":
-            rc, report = run(tmp_path_factory, lambda a: ["interpret", *a, missing])
-        else:
-            rc, report = run(tmp_path_factory, lambda a: [which, missing])
+    def test_unreadable_file(self, tmp_path_factory, name, which, data):
+        path = tmp_path_factory.mktemp("none") / f"{name}.sexp"
+        if data.draw(st.booleans()):
+            # 0xff never occurs in UTF-8, so the file does not decode; else it is missing
+            text = data.draw(st.text(max_size=12)).encode("utf-8")
+            k = data.draw(st.integers(0, len(text)))
+            path.write_bytes(text[:k] + b"\xff" + text[k:])
+        unreadable = str(path)
+        stderr = io.StringIO()
+        with redirect_stderr(stderr):
+            if which == "basis":
+                rc, report = run(tmp_path_factory, lambda a: ["interpret", *a, unreadable])
+            else:
+                rc, report = run(tmp_path_factory, lambda a: [which, unreadable])
         assert rc == EXIT_CONFIG and report is None
+        assert stderr.getvalue().startswith(f"cannot read {unreadable}: ") and stderr.getvalue().count("\n") == 1
+
+    @given(st.sampled_from(("check", "interpret", "verify")), st.sampled_from(("a directory", "in a missing directory")))
+    @PROPERTY
+    def test_unwritable_out(self, tmp_path_factory, command, where):
+        d = tmp_path_factory.mktemp("out")
+        out = d if where == "a directory" else d / "none" / "r.json"
+        proof = d / "p.sexp"
+        proof.write_text("(ax X1)", encoding="utf-8")
+        argv = {"check": ["check", str(proof)], "interpret": ["interpret", str(proof)], "verify": ["verify", "--suite", "soundness", "--trials", "1"]}
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            rc = main(argv[command] + ["--out", str(out)])
+        assert rc == EXIT_CONFIG and stdout.getvalue() == ""
+        assert stderr.getvalue().startswith(f"cannot write {out}: ") and stderr.getvalue().count("\n") == 1
 
     @given(st.from_regex(r"[A-Z][A-Za-z0-9]{0,4}", fullmatch=True).filter(lambda v: v not in ("X1", "X2", "X3", "X4")))
     @PROPERTY

@@ -28,8 +28,6 @@ from goi.measurement import (
     TRIVIAL_DIALECT,
     _block_log_sum,
     _extend_matrix,
-    dagger,
-    ddagger,
     dial_labels,
     extended_pair,
     from_location_matrix,
@@ -98,8 +96,9 @@ class TestTrivialExtension:
         m = complex_matrix(rng, n * dialect.dim)
         assert _extend_matrix(m, dialect.dim, 1, left) is m
         A = random_dialectal(rng, tuple(range(n)), dialect, symbolic=False)
-        for got, want in ((dagger(A, TRIVIAL_DIALECT), reference_dagger(A, TRIVIAL_DIALECT)), (ddagger(A, TRIVIAL_DIALECT), reference_ddagger(A, TRIVIAL_DIALECT))):
-            assert got.op.carrier == want.op.carrier and np.array_equal(got.op.mat, want.op.mat)
+        trivial = DialectalOperator((), TRIVIAL_DIALECT, PseudoTrace((1.0,)), DenseOperator.zeros(()))
+        for got, want in ((extended_pair(A, trivial).a, reference_dagger(A, TRIVIAL_DIALECT)), (extended_pair(trivial, A).b, reference_ddagger(A, TRIVIAL_DIALECT))):
+            assert got.carrier == want.op.carrier and np.array_equal(got.mat, want.op.mat)
 
     CARRIERS = {
         "equal": ((0, 1, 2), (0, 1, 2)),
@@ -126,8 +125,8 @@ class TestTrivialExtension:
         B = random_dialectal(rng, cb, db, kind_b == "symbolic")
         carrier = union_carrier(ca, cb)
         ext = extended_pair(A, B)
-        want_a = dagger(A, B.dialect, B.pseudo_trace).on_carrier(carrier).dense_payload()
-        want_b = ddagger(B, A.dialect, A.pseudo_trace).on_carrier(carrier).dense_payload()
+        want_a = reference_dagger(A, B.dialect, B.pseudo_trace).on_carrier(carrier).dense_payload()
+        want_b = reference_ddagger(B, A.dialect, A.pseudo_trace).on_carrier(carrier).dense_payload()
         for got, want in ((ext.a, want_a), (ext.b, want_b)):
             assert got.carrier == want.carrier and np.array_equal(got.mat, want.mat)
 

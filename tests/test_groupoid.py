@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goi.errors import DisjointnessError, WindowError
+from goi.errors import DisjointnessError
 from goi.groupoid import (
     Idx,
     NilpotencyResult,
@@ -11,21 +11,19 @@ from goi.groupoid import (
     PartialInjectionOp,
     Region,
     adjoint,
-    axiom_swap,
     beta_decode,
     beta_encode,
     compose,
     is_partial_symmetry,
     l_isometry,
     nilpotency,
-    odot,
     r_isometry,
     restrict_outside,
     sum_disjoint,
-    to_dense,
     word_apply,
     word_unapply,
 )
+from goi.measurement import table_matrix
 
 
 @st.composite
@@ -219,23 +217,30 @@ class TestCylinderIndex:
         assert compose(u, adjoint(u)) == range_projection
 
 
-class TestOdotAndSymmetry:
-    def test_odot_zero(self):
-        assert odot(PartialInjectionOp.zero(), PartialInjectionOp.zero()).is_zero()
+def pairing(u, v):
+    """R u R* + L v L*, the internalised pairing, from the kept isometries and sums."""
+    R, L = r_isometry(), l_isometry()
+    return sum_disjoint(compose(compose(R, u), adjoint(R)), compose(compose(L, v), adjoint(L)))
 
-    def test_odot_copies(self):
+
+class TestInternalPairing:
+    def test_pairing_zero(self):
+        assert pairing(PartialInjectionOp.zero(), PartialInjectionOp.zero()).is_zero()
+
+    def test_pairing_copies(self):
         ii = PartialInjectionOp.identity_on([0])
-        oo = odot(ii, ii)
-        assert oo == PartialInjectionOp.identity_on([0, 1])
+        assert pairing(ii, ii) == PartialInjectionOp.identity_on([0, 1])
 
-    def test_odot_summands_disjoint(self):
+    def test_pairing_summands_disjoint(self):
         u = PartialInjectionOp.from_table({0: 3})
         v = PartialInjectionOp.from_table({0: 3})
-        oo = odot(u, v)  # would clash without the R/L conjugation
+        oo = pairing(u, v)  # sum_disjoint would raise if the R and L conjugates clashed
         assert oo.apply(0)[0] == Idx(6) and oo.apply(1)[0] == Idx(7)
 
+
+class TestPartialSymmetry:
     def test_axiom_swap_shape(self):
-        tta = axiom_swap()
+        tta = compose(l_isometry(), adjoint(r_isometry()))  # L R*: even to odd
         assert tta.apply(4)[0] == Idx(5)
         assert tta.apply(5) is None
         assert not is_partial_symmetry(tta)
@@ -249,7 +254,7 @@ class TestOdotAndSymmetry:
     @settings(max_examples=200, deadline=None)
     def test_partial_symmetry_matches_its_matrix(self, u):
         support = sorted({i for src, (dst, _) in u.table.items() for i in (src, dst)})
-        m = to_dense(u, support).mat
+        m = table_matrix(u, tuple(support)).mat
         expected = np.array_equal(m, m.conj().T) and np.array_equal(m @ m @ m, m)
         assert is_partial_symmetry(u) == expected
 
@@ -327,20 +332,6 @@ class TestBetaCodec:
     def test_bijection_property(self, k):
         n, m = beta_decode(k)
         assert beta_encode(n, m) == k
-
-
-class TestDenseWindow:
-    def test_swap(self):
-        d = to_dense(PartialInjectionOp.from_table({0: 1, 1: 0}), [0, 1])
-        assert np.array_equal(d.mat, np.array([[0, 1], [1, 0]], dtype=complex))
-
-    def test_escape_raises(self):
-        with pytest.raises(WindowError):
-            to_dense(r_isometry(), range(8))
-
-    def test_projection_diagonal(self):
-        d = to_dense(PartialInjectionOp.identity_on([0, 2]), [0, 1, 2])
-        assert np.array_equal(np.diag(d.mat).real, [1, 0, 1])
 
 
 class TestRestriction:

@@ -16,7 +16,6 @@ from goi.linalg import (
     operator_norm,
     plain_det,
     spectral_radius,
-    tensor,
 )
 from goi.measurement import Dialect, PseudoTrace, _block_log_sum
 
@@ -282,7 +281,7 @@ class TestDeterminants:
         assert np.max(np.abs(power)) < 1e-12
 
 
-class TestSumsAndTensors:
+class TestSumsAndPredicates:
     def test_direct_sum_with_empty(self, rng):
         a = DenseOperator((0, 1), rng.normal(size=(2, 2)))
         empty = DenseOperator.zeros(())
@@ -294,16 +293,6 @@ class TestSumsAndTensors:
         s = direct_sum(a, b)
         assert s.carrier == (0, 1)
         assert np.array_equal(s.mat, np.diag([2.0 + 0j, 3.0 + 0j]))
-
-    def test_tensor_identity_repeats(self, rng):
-        a = DenseOperator((0, 1), rng.normal(size=(2, 2)))
-        t = tensor(DenseOperator.identity(("a", "b")), a)
-        # block-diagonal repeat of a, entry by entry
-        for bi, blk in enumerate(("a", "b")):
-            for i, li in enumerate((0, 1)):
-                for j, lj in enumerate((0, 1)):
-                    assert t.mat[t.index_of((blk, li)), t.index_of((blk, lj))] == a.mat[i, j]
-        assert np.max(np.abs(t.mat[:2, 2:])) == 0.0
 
     def test_predicates(self):
         h = DenseOperator((0, 1), [[1, 2], [2, 0]])

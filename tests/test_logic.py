@@ -14,7 +14,7 @@ from goi.errors import (
     UnsupportedRuleError,
 )
 from goi.cli import main
-from goi.groupoid import Idx, PartialInjectionOp, Region, adjoint, axiom_swap, compose, nilpotency, sum_disjoint
+from goi.groupoid import Idx, PartialInjectionOp, Region, adjoint, compose, l_isometry, nilpotency, r_isometry, sum_disjoint
 from goi.execution import ex_goi1
 from goi.logic import corpus, goi1, locations, matricial, syntax
 from goi.logic.goi1 import interpret_mll_goi1, soundness_check_mll
@@ -382,7 +382,7 @@ class TestNormalization:
 class TestGoi1Interpretation:
     def test_axiom_is_standard_swap(self):
         pi, sigma = interpret_mll_goi1(parse_proof("(ax X1)"))
-        tta = axiom_swap()
+        tta = compose(l_isometry(), adjoint(r_isometry()))  # L R*: even to odd
         assert pi == sum_disjoint(tta, adjoint(tta))
         assert sigma.is_zero()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from goi.errors import CarrierError
-from goi.groupoid import Idx, PartialInjectionOp
+from goi.groupoid import PartialInjectionOp
 from goi.linalg import DenseOperator, union_carrier
 from goi.measurement import (
     Dialect,
@@ -13,10 +13,10 @@ from goi.measurement import (
     PseudoTrace,
     UNIT_TRACE,
     _arrows,
+    _block_log_sum,
     _cycle_ldet,
+    _extend_matrix,
     apply_variant,
-    dagger,
-    ddagger,
     dial_labels,
     extended_pair,
     from_location_matrix,
@@ -25,9 +25,9 @@ from goi.measurement import (
     ldet_series,
     meas_hyp,
     meas_mat,
-    pseudo_trace_eval,
     sca_mat,
     sca_verdict,
+    table_matrix,
 )
 from goi.projects import Project, make_project
 
@@ -38,13 +38,18 @@ SQ = math.sqrt(0.5)
 
 
 class TestPseudoTrace:
+    """The pseudo-trace weights of the one determinant rule: -sum_b (alpha_b / k_b) log det_b."""
+
     def test_scalar(self):
-        assert pseudo_trace_eval(UNIT_TRACE, Dialect((1,)), np.array([[3.5]])) == pytest.approx(3.5)
+        one_minus = np.array([[math.exp(-3.5)]], dtype=complex)
+        assert _block_log_sum(one_minus, (0,), Dialect((1,)), UNIT_TRACE, absolute=False) == pytest.approx(3.5)
 
     def test_weighted_identity(self):
-        alpha = PseudoTrace((0.5, 0.5))
-        d = Dialect((1, 1))
-        assert pseudo_trace_eval(alpha, d, np.eye(2)) == pytest.approx(1.0)
+        # a normalised pseudo-trace counts e * 1 once per location, whatever the blocks
+        d = Dialect((2, 1))
+        alpha = PseudoTrace((0.25, 0.75))
+        one_minus = math.e * np.eye(2 * d.dim, dtype=complex)
+        assert _block_log_sum(one_minus, (0, 1), d, alpha, absolute=False) == pytest.approx(-2.0)
 
     def test_tracial(self, rng):
         d = Dialect((2, 1))
@@ -55,9 +60,11 @@ class TestPseudoTrace:
         for m in (u, v):
             m[0:2, 2:] = 0
             m[2:, 0:2] = 0
-        lhs = pseudo_trace_eval(alpha, d, u @ v)
-        rhs = pseudo_trace_eval(alpha, d, v @ u)
-        assert abs(lhs - rhs) < 1e-10
+        lhs = _block_log_sum(u @ v, (0,), d, alpha, absolute=True)
+        rhs = _block_log_sum(v @ u, (0,), d, alpha, absolute=True)
+        uv = u @ v
+        by_block = -(0.7 / 2) * np.linalg.slogdet(uv[:2, :2])[1] - 1.3 * math.log(abs(uv[2, 2]))
+        assert abs(lhs - rhs) < 1e-10 and lhs == pytest.approx(by_block)
 
     def test_unit_and_faithful(self):
         assert PseudoTrace((0.5, 0.5)).unit() == 1.0
@@ -88,16 +95,21 @@ class TestDialect:
         assert t.assignment == (0, 1, 2, 3)
 
 
+def extended_by(m, d, beta=UNIT_TRACE):
+    """m (x) 1 on a fresh right dialect d: the left side of ``extended_pair`` against an empty operator of that dialect."""
+    ext = extended_pair(m, DialectalOperator((), d, beta, DenseOperator.zeros(())))
+    return DialectalOperator(ext.carrier, ext.dialect, ext.pseudo_trace, ext.a)
+
+
 class TestDaggers:
     def test_trivial_dialect_unchanged(self, rng):
         m = from_location_matrix((0, 1), hermitian_contraction(rng, 2))
-        up = dagger(m, Dialect((1,)), UNIT_TRACE)
+        up = extended_by(m, Dialect((1,)))
         assert np.allclose(up.dense_payload().mat, m.dense_payload().mat)
 
     def test_dagger_ddagger_commute_up_to_swap(self, rng):
         A = from_location_matrix((0,), hermitian_contraction(rng, 1))
-        dB = Dialect((2,))
-        Ad = dagger(A, dB)
+        Ad = extended_by(A, Dialect((2,)))
         # entries: Ad[(0,(a,b)), (0,(a',b'))] = A[(0,a),(0,a')] delta_bb'
         mat = Ad.dense_payload().mat
         base = A.dense_payload().mat[0, 0]
@@ -106,17 +118,31 @@ class TestDaggers:
     def test_kron_structure(self, rng):
         A = from_location_matrix((0, 1), hermitian_contraction(rng, 2))
         B = from_location_matrix((0, 1), hermitian_contraction(rng, 2))
-        Ad = dagger(A, B.dialect, B.pseudo_trace)
-        Bd = ddagger(B, A.dialect, A.pseudo_trace)
-        assert Ad.dialect.blocks == Bd.dialect.blocks
-        prod = Ad.dense_payload() @ Bd.dense_payload()
+        ext = extended_pair(A, B)
+        assert ext.dialect == reference_dagger(A, B.dialect).dialect == reference_ddagger(B, A.dialect).dialect
+        prod = ext.a @ ext.b
         # trivial dialects: extension is the plain location product
         direct = A.dense_payload() @ B.dense_payload()
         assert np.allclose(prod.mat, direct.mat)
 
 
+    @pytest.mark.parametrize("left", [True, False])
+    def test_extend_matrix_repeats_each_block(self, rng, left):
+        # X (x) 1 (left: X's coordinate first) or 1 (x) X (X's coordinate last), entry by entry
+        n, k, k_other = 2, 2, 3
+        mat = rng.normal(size=(n * k, n * k)) + 1j * rng.normal(size=(n * k, n * k))
+        pair = (k, k_other) if left else (k_other, k)
+        ext = _extend_matrix(mat, k, k_other, left).reshape(n, *pair, n, *pair)
+        for i, a, b, j, c, e in np.ndindex(ext.shape):
+            if left:
+                want = mat[i * k + a, j * k + c] if b == e else 0
+            else:
+                want = mat[i * k + b, j * k + e] if a == c else 0
+            assert ext[i, a, b, j, c, e] == want
+
+
 class TestExtendedPair:
-    """The frame against dagger/ddagger viewed on the union carrier."""
+    """The frame against the arrow-by-arrow references viewed on the union carrier."""
 
     DIALECTS = {
         "one-block": (Dialect((1,)), Dialect((2,))),
@@ -154,18 +180,33 @@ class TestExtendedPair:
             assert np.array_equal(got.mat, want.mat)
         assert np.any(ext.a.mat) and np.any(ext.b.mat)
 
+
     @pytest.mark.parametrize("dialects", sorted(DIALECTS))
     @pytest.mark.parametrize("kind", ["dense", "symbolic"])
-    def test_public_daggers_match_reference(self, rng, kind, dialects):
+    def test_extension_by_an_empty_side_matches_reference(self, rng, kind, dialects):
+        # the pair with an empty operator of a fresh dialect, as verify's dialect_inflation takes it
         da, db = self.DIALECTS[dialects]
-        A = random_dialectal(rng, (0, 1, 2), da, kind == "symbolic")
+        symbolic = kind == "symbolic"
+        A = random_dialectal(rng, (0, 1, 2), da, symbolic)
         beta = PseudoTrace((0.5,) * len(db.blocks))
-        for got, want in ((dagger(A, db, beta), reference_dagger(A, db, beta)), (ddagger(A, db), reference_ddagger(A, db))):
-            assert (got.carrier, got.dialect, got.pseudo_trace) == (want.carrier, want.dialect, want.pseudo_trace)
-            if got.is_symbolic:
-                assert want.is_symbolic and got.op.table == want.op.table
+        fresh = DialectalOperator((), db, beta, PartialInjectionOp.zero() if symbolic else DenseOperator.zeros(()))
+        right, left = extended_pair(A, fresh), extended_pair(fresh, A)
+        for ext, got, want in ((right, right.a, reference_dagger(A, db, beta)), (left, left.b, reference_ddagger(A, db, beta))):
+            assert (ext.carrier, ext.dialect, ext.pseudo_trace) == (want.carrier, want.dialect, want.pseudo_trace)
+            if symbolic:
+                assert want.is_symbolic and got.table == want.op.table and got.table
             else:
-                assert np.array_equal(got.op.mat, want.op.mat) and got.op.carrier == want.op.carrier
+                assert got.carrier == want.op.carrier and np.array_equal(got.mat, want.op.mat)
+
+
+class TestTableMatrix:
+    def test_swap(self):
+        d = table_matrix(PartialInjectionOp.from_table({0: 1, 1: 0}), ((0, 0), (1, 0)))
+        assert np.array_equal(d.mat, np.array([[0, 1], [1, 0]], dtype=complex))
+
+    def test_projection_diagonal(self):
+        d = table_matrix(PartialInjectionOp.identity_on([0, 2]), ((0, 0), (1, 0), (2, 0)))
+        assert np.array_equal(np.diag(d.mat).real, [1, 0, 1])
 
 
 class TestDialectalChecks:
@@ -305,7 +346,7 @@ class TestMeasurements:
 
     def test_dialect_inflation_factor(self, rng):
         m = from_location_matrix((0, 1), hermitian_contraction(rng, 2, 0.7))
-        lifted = dagger(m, Dialect((2,)), PseudoTrace((0.7,)))
+        lifted = extended_by(m, Dialect((2,)), PseudoTrace((0.7,)))
         assert abs(ldet(lifted) - 0.7 * ldet(m)) < 1e-9
 
 

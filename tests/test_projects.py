@@ -19,7 +19,6 @@ from goi.projects import (
     Delocation,
     Project,
     build_fax,
-    build_with_project,
     deloc_project,
     extend_carrier,
     is_promising,
@@ -35,7 +34,7 @@ from goi.projects import (
 )
 
 from conftest import hermitian_contraction, random_dialectal
-from oracles import loop_deloc_payload, loop_sum_lambda_payload, loop_traces_ok
+from oracles import build_with_project, loop_deloc_payload, loop_sum_lambda_payload, loop_traces_ok
 
 
 def fax_on(prim, a, b):
